@@ -2,7 +2,8 @@
 
 Awards are computed exactly by walking sorted claim breakpoints, never by
 numeric root finding; exact water levels matter downstream because permit
-shares feed argmin/argmax comparisons over partitions.
+shares feed argmin/argmax comparisons over partitions.  ``allocate`` is the
+one serve-in-full-or-ration step behind every game and the mechanism.
 """
 
 from __future__ import annotations
@@ -142,11 +143,23 @@ _RULE_FUNCTIONS = {
 }
 
 
+def allocate(rule: str, claims: Sequence[Fraction], cap: Fraction) -> tuple[Fraction, ...]:
+    """Serve the claims in full when they fit under the cap, else ration the
+    cap by the rule; rationed awards always exhaust the cap."""
+    rationing = _RULE_FUNCTIONS[check_rule(rule)]
+    claims = tuple(claims)
+    if sum(claims, ZERO) <= cap:
+        return claims
+    awards = rationing(cap, claims)
+    if sum(awards, ZERO) != cap:
+        raise RuntimeError(
+            f"{rule} awards sum to {sum(awards, ZERO)} and do not exhaust the cap {cap}")
+    return awards
+
+
 def apply_rule(rule: str, problem: BankruptcyProblem) -> tuple[Fraction, ...]:
     """Divide the estate; the result is bounded by the claims and exhausts it."""
-    awards = _RULE_FUNCTIONS[check_rule(rule)](problem.estate, problem.claims)
-    assert sum(awards, ZERO) == problem.estate
-    return awards
+    return allocate(rule, problem.claims, problem.estate)
 
 
 def bankruptcy_game(problem: BankruptcyProblem) -> CharacteristicGame:

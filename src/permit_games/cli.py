@@ -20,7 +20,7 @@ from .partition_games import MINUS, PLUS, build_game, optimistic_game, pessimist
 from .partitions import PartitionLimitError
 from .production import SituationError, optimal_demand
 from .reference import run_reference_checks
-from .report import FORMATS, Report, TABLE, coalition_label, decimal_str, partition_label
+from .report import FORMATS, Report, coalition_label, decimal_str, partition_label
 from .scenario import Scenario, ScenarioError, dump_scenario, load_scenario, parse_grid
 from .stability import CoreVerdict, core_nonempty, stable_pipeline, trade_ledger
 
@@ -225,14 +225,12 @@ def _cmd_resource_games(scenario, args):
     game = build_game(scenario.situation, scenario.rule, limit=_limit(scenario, args))
     report = Report()
     for sense, title in ((PLUS, "best-case"), (MINUS, "worst-case")):
-        cg = resource_game(game, sense)
-        witnesses = resource_witnesses(game, sense)
         sec = report.section(
             f"{title} permit allocation game under {scenario.rule} [{scenario.name}]",
             ["coalition", "permits", "witnessing structure"])
-        for fs in cg.coalitions():
-            sec.add_row(coalition_label(fs), cg.values[fs],
-                        partition_label(witnesses[fs]))
+        for fs, witness in resource_witnesses(game, sense).items():
+            sec.add_row(coalition_label(fs), game.shares[fs, witness],
+                        partition_label(witness))
     return report, 0
 
 

@@ -1,8 +1,9 @@
 """Direct mechanism: firms report permit needs, a rule divides the cap.
 
 Claimants are the blocks of a fixed coalition structure (singletons by
-default).  Each block reports a need; when the reports exceed the cap the
-announced rule rations them, otherwise reports are served in full.  A block's
+default).  Each block reports a need and ``allocate`` (the serve-or-ration
+step of ``bankruptcy``, shared with the partition games) serves the reports
+in full under the cap or rations them by the announced rule.  A block's
 payoff is its best profit from its own endowment at the allocated quantity,
 tax included.  Truthfulness checks run exhaustively over finite report grids,
 so they are desk-scale verifications rather than proofs over a continuum.
@@ -11,11 +12,13 @@ so they are desk-scale verifications rather than proofs over a continuum.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import bankruptcy
+from .bankruptcy import allocate
 from .lp import as_fraction
 from .partitions import Partition, singleton_partition
 from .production import Situation, coalition_value, optimal_demand
@@ -85,14 +88,6 @@ def _default_levels(sit: Situation, demands, i) -> list[Fraction]:
     return levels
 
 
-def allocate(rule: str, reports: Sequence[Fraction], cap: Fraction) -> tuple[Fraction, ...]:
-    """Serve reports in full under the cap, otherwise ration them."""
-    reports = tuple(reports)
-    if sum(reports, ZERO) <= cap:
-        return reports
-    return bankruptcy._RULE_FUNCTIONS[bankruptcy.check_rule(rule)](cap, reports)
-
-
 def mechanism_payoff(sit: Situation, cfg: MechanismConfig,
                      reports: Sequence, claimant: int) -> Fraction:
     """Profit of claimant block ``claimant`` (0-based) under the reported needs."""
@@ -129,8 +124,7 @@ def dominance_check(sit: Situation, cfg: MechanismConfig,
     opponent / deviation order is returned.
     """
     k = cfg.claimants
-    cells = sum(
-        _product_size(cfg, i) * len(cfg.grids[i]) for i in range(k))
+    cells = k * math.prod(len(g) for g in cfg.grids)
     if cells > cell_limit:
         raise GridSizeError(
             f"{cells} payoff cells exceed the limit of {cell_limit}")
@@ -143,6 +137,8 @@ def dominance_check(sit: Situation, cfg: MechanismConfig,
             truthful = mechanism_payoff(sit, cfg, profile, i)
             for deviation in cfg.grids[i]:
                 checked += 1
+                if deviation == cfg.true_demands[i]:
+                    continue  # the truthful payoff, computed above
                 profile[i] = deviation
                 payoff = mechanism_payoff(sit, cfg, profile, i)
                 if payoff > truthful:
@@ -155,14 +151,6 @@ def dominance_check(sit: Situation, cfg: MechanismConfig,
                             deviant_payoff=payoff))
             profile[i] = cfg.true_demands[i]
     return DominanceReport(truthful_dominant=True, cells_checked=checked)
-
-
-def _product_size(cfg: MechanismConfig, i: int) -> int:
-    size = 1
-    for j, grid in enumerate(cfg.grids):
-        if j != i:
-            size *= len(grid)
-    return size
 
 
 @dataclass(frozen=True)
@@ -179,6 +167,8 @@ def equilibrium_check(sit: Situation, cfg: MechanismConfig,
         current = mechanism_payoff(sit, cfg, base, i)
         trial = list(base)
         for deviation in cfg.grids[i]:
+            if deviation == base[i]:
+                continue  # the current payoff, computed above
             trial[i] = deviation
             payoff = mechanism_payoff(sit, cfg, trial, i)
             if payoff > current:

@@ -1,23 +1,26 @@
 """Partition-function games induced by a division rule on permit claims.
 
-For every coalition structure the blocks claim their optimal permit demands;
-when the claims exceed the cap the announced rule rations them, otherwise
-every block is served in full.  Block profits then depend on the whole
+For every coalition structure the blocks claim their optimal permit demands
+and ``bankruptcy.allocate`` serves them in full under the cap or rations
+them by the announced rule.  Block profits then depend on the whole
 structure, which is exactly where the externalities live.
+
+``build_game`` also indexes, for every coalition, the structures holding it
+as a block, in enumeration order.  Each derived game (optimistic,
+pessimistic, best- and worst-case permit games) is one min or max over that
+index, so it reads every payoff cell once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from . import bankruptcy
 from .games import CharacteristicGame, lex_coalitions
-from .partitions import DEFAULT_LIMIT, Partition, enumerate_partitions, partitions_containing
+from .partitions import DEFAULT_LIMIT, Partition, enumerate_partitions
 from .production import Situation, coalition_value, optimal_demand
-
-ZERO = Fraction(0)
 
 PLUS = "plus"
 MINUS = "minus"
@@ -31,6 +34,8 @@ class PartitionGame:
     demands: dict[frozenset[int], Fraction]
     shares: dict[tuple[frozenset[int], Partition], Fraction]
     values: dict[tuple[frozenset[int], Partition], Fraction]
+    # coalition -> structures holding it as a block, in enumeration order
+    by_block: dict[frozenset[int], tuple[Partition, ...]]
 
     @property
     def players(self) -> tuple[int, ...]:
@@ -45,8 +50,8 @@ class PartitionGame:
     def value(self, members: Iterable[int], partition: Partition) -> Fraction:
         return self.values[frozenset(members), partition]
 
-    def containing(self, members: Iterable[int]) -> list[Partition]:
-        return partitions_containing(self.partitions, members)
+    def containing(self, members: Iterable[int]) -> tuple[Partition, ...]:
+        return self.by_block.get(frozenset(members), ())
 
     @property
     def grand_partition(self) -> Partition:
@@ -60,26 +65,22 @@ class PartitionGame:
 def build_game(sit: Situation, rule: str, limit: int = DEFAULT_LIMIT) -> PartitionGame:
     """Tabulate permit shares and block profits for every coalition structure."""
     rule = bankruptcy.check_rule(rule)
-    n = sit.n_firms
-    partitions = enumerate_partitions(n, limit)
+    partitions = enumerate_partitions(sit.n_firms, limit)
     demands = {fs: optimal_demand(sit, fs) for fs in lex_coalitions(sit.firms())}
     shares: dict[tuple[frozenset[int], Partition], Fraction] = {}
     values: dict[tuple[frozenset[int], Partition], Fraction] = {}
+    by_block: dict[frozenset[int], list[Partition]] = {fs: [] for fs in demands}
     for partition in partitions:
         blocks = [frozenset(b) for b in partition]
-        claims = [demands[b] for b in blocks]
-        if sum(claims, ZERO) <= sit.cap:
-            awards = claims  # the cap satisfies everyone in this structure
-        else:
-            problem = bankruptcy.BankruptcyProblem.create(
-                claimants=partition, estate=sit.cap, claims=claims)
-            awards = bankruptcy.apply_rule(rule, problem)
+        awards = bankruptcy.allocate(rule, [demands[b] for b in blocks], sit.cap)
         for block, award in zip(blocks, awards):
             shares[block, partition] = award
             values[block, partition] = coalition_value(sit, block, award)
+            by_block[block].append(partition)
     return PartitionGame(
-        situation=sit, rule=rule, partitions=partitions,
-        demands=demands, shares=shares, values=values)
+        situation=sit, rule=rule, partitions=partitions, demands=demands,
+        shares=shares, values=values,
+        by_block={fs: tuple(ps) for fs, ps in by_block.items()})
 
 
 def pessimistic_game(game: PartitionGame) -> CharacteristicGame:
@@ -93,35 +94,23 @@ def optimistic_game(game: PartitionGame) -> CharacteristicGame:
 
 
 def _bound_game(game: PartitionGame, pick) -> CharacteristicGame:
-    values = {}
-    for fs in lex_coalitions(game.players):
-        values[fs] = pick(game.values[fs, p] for p in game.containing(fs))
+    values = {fs: pick(game.values[fs, p] for p in structures)
+              for fs, structures in game.by_block.items()}
     return CharacteristicGame(players=game.players, values=values)
 
 
 def resource_game(game: PartitionGame, sense: str) -> CharacteristicGame:
     """Permit quantity a coalition gets in its best (plus) or worst (minus)
     structures, tie-broken toward the fewest permits."""
-    values = {}
-    for fs in lex_coalitions(game.players):
-        values[fs] = min(game.shares[fs, p] for p in _extremal_partitions(game, fs, sense))
+    values = {fs: game.shares[fs, p] for fs, p in resource_witnesses(game, sense).items()}
     return CharacteristicGame(players=game.players, values=values)
 
 
 def resource_witnesses(game: PartitionGame, sense: str) -> dict[frozenset[int], Partition]:
-    """Canonically first structure attaining each coalition's resource value."""
-    out = {}
-    for fs in lex_coalitions(game.players):
-        candidates = _extremal_partitions(game, fs, sense)
-        best_share = min(game.shares[fs, p] for p in candidates)
-        out[fs] = next(p for p in candidates if game.shares[fs, p] == best_share)
-    return out
-
-
-def _extremal_partitions(game: PartitionGame, fs: frozenset[int], sense: str) -> list[Partition]:
+    """Canonically first structure attaining each coalition's resource value:
+    its best (plus) or worst (minus) profit, then the fewest permits."""
     if sense not in (PLUS, MINUS):
         raise ValueError(f"sense must be {PLUS!r} or {MINUS!r}, got {sense!r}")
-    containing = game.containing(fs)
-    pick = max if sense == PLUS else min
-    bound = pick(game.values[fs, p] for p in containing)
-    return [p for p in containing if game.values[fs, p] == bound]
+    sign = -1 if sense == PLUS else 1
+    return {fs: min(structures, key=lambda p: (sign * game.values[fs, p], game.shares[fs, p]))
+            for fs, structures in game.by_block.items()}

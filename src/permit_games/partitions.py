@@ -72,7 +72,3 @@ def block_with_singletons(members, n: int) -> Partition:
     rest = [(i,) for i in range(1, n + 1) if i not in members]
     return tuple(sorted([block] + rest, key=lambda b: b[0]))
 
-
-def partitions_containing(partitions, members) -> list[Partition]:
-    block = tuple(sorted(members))
-    return [p for p in partitions if block in p]

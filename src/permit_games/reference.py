@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bankruptcy import CEA, PROP
-from .games import CharacteristicGame
 from .partition_games import (
     MINUS,
     PLUS,

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .games import CharacteristicGame, lex_coalitions
-from .lp import GE, EQ, LE, OPTIMAL, INFEASIBLE, as_fraction, linear_program, solve
+from .lp import GE, EQ, LE, OPTIMAL, as_fraction, linear_program, solve
 from .partition_games import (
     MINUS,
     PartitionGame,
@@ -113,7 +113,8 @@ def core_nonempty(game: CharacteristicGame) -> CoreVerdict:
         witness = list(sol.primal)
         witness[0] += grand - cheapest  # hand any surplus to the first player
         verdict = CoreVerdict(nonempty=True, witness=tuple(witness))
-        assert in_core(game, verdict.witness).ok
+        if not in_core(game, verdict.witness).ok:
+            raise RuntimeError("core witness failed its exact membership re-check")
         return verdict
     return CoreVerdict(
         nonempty=False,
@@ -223,13 +224,7 @@ def stable_pipeline(sit: Situation, rule: str, limit: int = DEFAULT_LIMIT) -> Pi
     grand_demand = demands[frozenset(firms)]
     scarce = grand_demand > sit.cap
     claims_exceed = sum(individual, ZERO) > sit.cap
-
-    if not claims_exceed:
-        split = individual  # everyone can be served in full
-    else:
-        problem = bankruptcy.BankruptcyProblem.create(
-            claimants=firms, estate=sit.cap, claims=individual)
-        split = bankruptcy.apply_rule(rule, problem)
+    split = bankruptcy.allocate(rule, individual, sit.cap)
 
     report = PipelineReport(
         rule=rule, demands=demands, individual_demands=individual,
@@ -364,7 +359,8 @@ def _price_candidates(sit: Situation, h, t) -> list[Fraction]:
     n = sit.n_firms
     g = sit.n_goods
     sol = solve(_holdings_program(sit, None))
-    assert sol.status == OPTIMAL
+    if sol.status != OPTIMAL:
+        raise RuntimeError(f"holdings program unexpectedly {sol.status}")
     candidates = set()
     for i in range(n):
         revenue = sum(
@@ -447,6 +443,7 @@ def _ledger_at_price(sit: Situation, h, t, price, manager) -> TradeLedger:
             production_revenue=revenue, tax_paid=sit.tax * h[i],
             net_sold=sold, trade_cash=price * sold,
             net_profit=revenue - sit.tax * h[i] + price * sold))
-    assert all(row.net_profit == t[row.firm - 1] for row in rows)
+    if any(row.net_profit != t[row.firm - 1] for row in rows):
+        raise RuntimeError("ledger net profits do not reproduce the target")
     return TradeLedger(
         feasible=True, price=price, rows=tuple(rows), manager_revenue=manager)

@@ -6,16 +6,19 @@ from fractions import Fraction
 
 import pytest
 
+from permit_games import bankruptcy
 from permit_games.bankruptcy import (
     BankruptcyProblem,
     RULES,
     RationingError,
+    allocate,
     apply_rule,
     bankruptcy_game,
     constrained_equal_awards,
     constrained_equal_losses,
     talmud,
 )
+from permit_games.partition_games import build_game
 from permit_games.stability import in_core
 
 import support
@@ -59,6 +62,20 @@ def test_exact_fill_and_empty_estate(rule):
     assert apply_rule(rule, empty) == (F(0),) * 3
 
 
+def test_allocate_checks_the_rule_even_when_claims_fit():
+    with pytest.raises(RationingError):
+        allocate("nope", [F(1)], F(50))
+
+
+def test_non_exhausting_rule_is_an_internal_fault(monkeypatch, example3):
+    monkeypatch.setitem(
+        bankruptcy._RULE_FUNCTIONS, "cea", lambda cap, claims: tuple(d / 2 for d in claims))
+    with pytest.raises(RuntimeError, match="exhaust"):
+        allocate("cea", [F(20), F(20), F(25)], F(50))
+    with pytest.raises(RuntimeError, match="exhaust"):
+        build_game(example3, "cea")
+
+
 def test_abundant_case_rejected():
     with pytest.raises(RationingError, match="abundant"):
         problem(100, [20, 20, 25])
@@ -74,7 +91,7 @@ def test_talmud_meets_half_claims_cea_at_breakpoint():
 
 @pytest.mark.parametrize("rule", RULES)
 def test_rule_axioms_random(rule):
-    rng = random.Random(hash(rule) % 100000)
+    rng = random.Random(RULES.index(rule))
     for _ in range(80):
         prob = support.rand_bankruptcy_problem(rng)
         awards = apply_rule(rule, prob)
@@ -136,7 +153,7 @@ def test_game_degenerate_cases():
 
 @pytest.mark.parametrize("rule", RULES)
 def test_awards_lie_in_game_core(rule):
-    rng = random.Random(hash(rule) % 9999 + 1)
+    rng = random.Random(RULES.index(rule) + 1)
     for _ in range(40):
         prob = support.rand_bankruptcy_problem(rng)
         awards = apply_rule(rule, prob)

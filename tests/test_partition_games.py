@@ -130,6 +130,14 @@ def test_prop_merging_gain_witness(prop_game):
     assert minus.value({1}) + minus.value({3}) < minus.value({1, 3})
 
 
+def test_block_index_lists_containing_structures_in_order(cea_game):
+    assert cea_game.containing({1, 2}) == (P2,)
+    assert cea_game.containing({1, 4}) == ()
+    for fs in cea_game.demands:
+        block = tuple(sorted(fs))
+        assert cea_game.containing(fs) == tuple(p for p in cea_game.partitions if block in p)
+
+
 def test_abundant_cap_kills_externalities(example3):
     roomy = dataclasses.replace(example3, cap=F(100))
     game = build_game(roomy, "cea")
@@ -149,7 +157,7 @@ def test_permit_conservation(cea_game, prop_game):
 
 @pytest.mark.parametrize("rule", RULES)
 def test_grand_coalition_dominates_every_structure(rule):
-    rng = random.Random(hash(rule) % 1000 + 5)
+    rng = random.Random(RULES.index(rule) + 5)
     done = 0
     while done < 8:
         sit = support.scarce_situation(rng, n_firms=3)

@@ -5,7 +5,6 @@ from permit_games.partitions import (
     bell_number,
     block_with_singletons,
     enumerate_partitions,
-    partitions_containing,
     singleton_partition,
 )
 
@@ -53,5 +52,3 @@ def test_helpers():
     assert singleton_partition(3) == ((1,), (2,), (3,))
     assert block_with_singletons({2, 3}, 4) == ((1,), (2, 3), (4,))
     assert block_with_singletons({1, 4}, 4) == ((1, 4), (2,), (3,))
-    containing = partitions_containing(enumerate_partitions(3), {1, 2})
-    assert containing == [((1, 2), (3,))]
