@@ -138,6 +138,12 @@ def test_block_index_lists_containing_structures_in_order(cea_game):
         assert cea_game.containing(fs) == tuple(p for p in cea_game.partitions if block in p)
 
 
+@pytest.mark.parametrize("derive", [resource_game, resource_witnesses])
+def test_unknown_sense_rejected(cea_game, derive):
+    with pytest.raises(ValueError, match="sense"):
+        derive(cea_game, "sideways")
+
+
 def test_abundant_cap_kills_externalities(example3):
     roomy = dataclasses.replace(example3, cap=F(100))
     game = build_game(roomy, "cea")
