@@ -135,3 +135,71 @@ def test_deterministic_repeat():
     first = lp.solve(program)
     second = lp.solve(program)
     assert first == second
+
+
+
+_REAL_RUN_SIMPLEX = lp._run_simplex
+# One pivot (slack out, x in) reaches the optimum x = 5.
+ONE_PIVOT = lp.linear_program([1], [([1], lp.LE, 5)])
+# Optimum x = (1, 3) with both slacks at zero; entering the second slack
+# moves to x = (4, 0), a feasible vertex that is not optimal.
+TWO_ROWS = lp.linear_program([1, 2], [([1, 1], lp.LE, 4), ([0, 1], lp.LE, 3)])
+
+
+def _stop_before_pivoting(rows, dens, basis, cost, cost_den, n_enterable):
+    """A broken kernel that declares its starting basis optimal."""
+    return [*cost, 0], cost_den
+
+
+def _one_pivot_too_many(rows, dens, basis, cost, cost_den, n_enterable):
+    """A broken kernel that, once optimal, enters a non-improving column."""
+    red, red_den = _REAL_RUN_SIMPLEX(rows, dens, basis, cost, cost_den, n_enterable)
+    col = next(j for j in range(n_enterable) if red[j] < 0)
+    rhs = len(cost)
+    candidates = [i for i in range(len(rows)) if rows[i][col] > 0]
+    row = min(candidates, key=lambda i: F(rows[i][rhs], rows[i][col]))
+    rows.append(red)
+    dens.append(red_den)
+    lp._pivot(rows, dens, basis, row, col)
+    return rows.pop(), dens.pop()
+
+
+BROKEN_KERNELS = [(_stop_before_pivoting, ONE_PIVOT), (_one_pivot_too_many, TWO_ROWS)]
+
+
+@pytest.mark.parametrize("kernel, program", BROKEN_KERNELS)
+def test_self_check_rejects_a_non_optimal_basis(monkeypatch, kernel, program):
+    # Both bases pass primal feasibility, complementary slackness and
+    # strong duality; only dual feasibility tells them from an optimum.
+    assert lp.solve(program).status == lp.OPTIMAL
+    monkeypatch.setattr(lp, "_run_simplex", kernel)
+    with pytest.raises(RuntimeError, match="not optimal"):
+        lp.solve(program)
+
+
+def test_self_check_holds_under_python_O():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = """
+import sys
+from permit_games import lp
+import test_lp
+for kernel, program in test_lp.BROKEN_KERNELS:
+    lp._run_simplex = kernel
+    try:
+        lp.solve(program)
+    except RuntimeError as exc:
+        print("raised", exc)
+print("optimize", sys.flags.optimize)
+"""
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-1] == "optimize 1"
+    assert len(lines) == 3 and all("not optimal" in line for line in lines[:2])
