@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 negative analysis verdict (empty core, manipulable
-mechanism, infeasible ledger, failed reproduction), 2 input or usage error.
+mechanism, infeasible ledger, failed reproduction), 2 input or usage error,
+3 internal fault (a failed certificate or invariant check, which is a bug
+and never a verdict on the input; one ``internal error:`` line on stderr).
 Output is deterministic for identical input: no timestamps, stable ordering.
 """
 
@@ -45,6 +47,9 @@ def main(argv=None) -> int:
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,11 +1,15 @@
 """Scenario files, report formats and the command line surface."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from permit_games import cli
+from permit_games import bankruptcy, cli
 from permit_games.reference import bundled_scenario
 from permit_games.report import decimal_str, round_fraction
 from permit_games.scenario import (
@@ -254,6 +258,17 @@ def test_input_errors_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_internal_fault_exits_three(monkeypatch, capsys):
+    fixture = Path(cli.__file__).with_name("fixtures") / "example3.json"
+    monkeypatch.setitem(
+        bankruptcy._RULE_FUNCTIONS, "cea", lambda cap, claims: tuple(d / 2 for d in claims))
+    code, out, err = run_cli(capsys, "game", "--scenario", str(fixture))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ") and "exhaust" in err
+    assert err.count("\n") == 1
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
@@ -264,3 +279,13 @@ def test_reproduce_paper_command(capsys):
     code, out, _ = run_cli(capsys, "reproduce-paper")
     assert code == 0
     assert "22/22 reference checks passed" in out
+
+
+def test_reproduce_paper_under_python_O():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "permit_games.cli", "reproduce-paper"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("22/22 reference checks passed\n")
