@@ -458,11 +458,11 @@ def _self_check(lp, sol, work, cost, cost_den, y, y_den, values) -> None:
         low, up = lp.lower[j], lp.upper[j]
         if (low is not None and v < low) or (up is not None and v > up):
             raise RuntimeError(f"variable {j} left its bounds")
-    # Dual feasibility: c_c - y.A_c <= 0 on every structural and slack column.
+    # Dual feasibility: c_j - y.A_j <= 0 on every structural and slack column j.
     # Row i is over work[i].den, so weight y_i by L / den_i for a common L.
     common = lcm(*(row.den for row in work))
     weights = [yi * (common // row.den) for yi, row in zip(y, work)]
-    scale = y_den * common  # y.A_c == price / scale
+    scale = y_den * common  # y.A_j == price / scale
     for c, cc in enumerate(cost):
         price = sum(w * row.structural[c] for w, row in zip(weights, work) if w)
         if cc * scale > price * cost_den:

@@ -1,7 +1,11 @@
 """Solver behaviour pinned against hand examples and the enumeration oracle."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -178,11 +182,6 @@ def test_self_check_rejects_a_non_optimal_basis(monkeypatch, kernel, program):
 
 
 def test_self_check_holds_under_python_O():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     script = """
 import sys
 from permit_games import lp
