@@ -7,6 +7,9 @@ in full under the cap or rations them by the announced rule.  A block's
 payoff is its best profit from its own endowment at the allocated quantity,
 tax included.  Truthfulness checks run exhaustively over finite report grids,
 so they are desk-scale verifications rather than proofs over a continuum.
+``dominance_check`` rations each grid profile at most once, however many
+claimants read it, and values each claimant's award at most once per check;
+``cells_checked`` still counts every (claimant, opponents, deviation) cell.
 """
 
 from __future__ import annotations
@@ -88,15 +91,19 @@ def _default_levels(sit: Situation, demands, i) -> list[Fraction]:
     return levels
 
 
-def mechanism_payoff(sit: Situation, cfg: MechanismConfig,
-                     reports: Sequence, claimant: int) -> Fraction:
-    """Profit of claimant block ``claimant`` (0-based) under the reported needs."""
+def _report_profile(cfg: MechanismConfig, reports: Sequence) -> tuple[Fraction, ...]:
     profile = tuple(as_fraction(v) for v in reports)
     if len(profile) != cfg.claimants:
         raise ValueError(f"{len(profile)} reports for {cfg.claimants} claimants")
     if any(v < 0 for v in profile):
         raise ValueError("reports must be nonnegative")
-    awards = allocate(cfg.rule, profile, sit.cap)
+    return profile
+
+
+def mechanism_payoff(sit: Situation, cfg: MechanismConfig,
+                     reports: Sequence, claimant: int) -> Fraction:
+    """Profit of claimant block ``claimant`` (0-based) under the reported needs."""
+    awards = allocate(cfg.rule, _report_profile(cfg, reports), sit.cap)
     return coalition_value(sit, cfg.structure[claimant], awards[claimant])
 
 
@@ -121,35 +128,55 @@ def dominance_check(sit: Situation, cfg: MechanismConfig,
     """Is truth-telling weakly best against every grid profile of the others?
 
     Exhaustive over the grid product; the first counterexample in claimant /
-    opponent / deviation order is returned.
+    opponent / deviation order is returned.  ``cells_checked`` counts the
+    (claimant, opponent profile, deviation) cells visited, the truthful cell
+    included.  The walk runs over grid indices: each report profile is
+    rationed at most once, on first touch, and every claimant's payoff is
+    read from that one ``allocate`` result; each claimant's payoff at an
+    award is valued once per check.  Both tables live only for this call.
     """
     k = cfg.claimants
     cells = k * math.prod(len(g) for g in cfg.grids)
     if cells > cell_limit:
         raise GridSizeError(
             f"{cells} payoff cells exceed the limit of {cell_limit}")
+    awards_at: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+    values: list[dict[Fraction, Fraction]] = [{} for _ in range(k)]
+
+    def payoff(index: tuple[int, ...], i: int) -> Fraction:
+        awards = awards_at.get(index)
+        if awards is None:
+            profile = tuple(g[x] for g, x in zip(cfg.grids, index))
+            awards = awards_at[index] = allocate(cfg.rule, profile, sit.cap)
+        value = values[i].get(awards[i])
+        if value is None:
+            value = values[i][awards[i]] = coalition_value(
+                sit, cfg.structure[i], awards[i])
+        return value
+
     checked = 0
     for i in range(k):
-        other_grids = [cfg.grids[j] for j in range(k) if j != i]
-        for others in itertools.product(*other_grids):
-            profile = list(others)
-            profile.insert(i, cfg.true_demands[i])
-            truthful = mechanism_payoff(sit, cfg, profile, i)
-            for deviation in cfg.grids[i]:
+        truth = cfg.grids[i].index(cfg.true_demands[i])  # on every grid, by make_config
+        ranges = [range(len(g)) for g in cfg.grids]
+        ranges[i] = (truth,)
+        for base in itertools.product(*ranges):
+            truthful = payoff(base, i)
+            index = list(base)
+            for d, deviation in enumerate(cfg.grids[i]):
                 checked += 1
-                if deviation == cfg.true_demands[i]:
+                if d == truth:
                     continue  # the truthful payoff, computed above
-                profile[i] = deviation
-                payoff = mechanism_payoff(sit, cfg, profile, i)
-                if payoff > truthful:
-                    profile[i] = cfg.true_demands[i]
+                index[i] = d
+                deviant = payoff(tuple(index), i)
+                if deviant > truthful:
                     return DominanceReport(
                         truthful_dominant=False, cells_checked=checked,
                         counterexample=Deviation(
-                            claimant=i, opponent_reports=tuple(profile),
+                            claimant=i,
+                            opponent_reports=tuple(
+                                g[x] for g, x in zip(cfg.grids, base)),
                             deviation=deviation, truthful_payoff=truthful,
-                            deviant_payoff=payoff))
-            profile[i] = cfg.true_demands[i]
+                            deviant_payoff=deviant))
     return DominanceReport(truthful_dominant=True, cells_checked=checked)
 
 
@@ -162,9 +189,10 @@ class EquilibriumReport:
 def equilibrium_check(sit: Situation, cfg: MechanismConfig,
                       profile: Sequence) -> EquilibriumReport:
     """No claimant gains by a unilateral grid deviation from ``profile``."""
-    base = tuple(as_fraction(v) for v in profile)
+    base = _report_profile(cfg, profile)
+    base_awards = allocate(cfg.rule, base, sit.cap)
     for i in range(cfg.claimants):
-        current = mechanism_payoff(sit, cfg, base, i)
+        current = coalition_value(sit, cfg.structure[i], base_awards[i])
         trial = list(base)
         for deviation in cfg.grids[i]:
             if deviation == base[i]:

@@ -1,12 +1,22 @@
 """Truthfulness of the division rules as direct mechanisms, at grid scale."""
 
+import collections
+import itertools
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from permit_games.bankruptcy import constrained_equal_awards
+from permit_games import bankruptcy, mechanism
+from permit_games.bankruptcy import RULES, constrained_equal_awards
 from permit_games.mechanism import (
+    Deviation,
+    DominanceReport,
     GridSizeError,
     allocate,
     dominance_check,
@@ -91,12 +101,6 @@ def test_block_claimant_structure(example3):
     assert cfg.true_demands == (40, 25)
     report = dominance_check(example3, cfg)
     assert report.truthful_dominant
-
-
-def test_grid_limit_enforced(example3):
-    cfg = make_config(example3, "cea", grid=list(range(0, 30)))
-    with pytest.raises(GridSizeError):
-        dominance_check(example3, cfg, cell_limit=100)
 
 
 def test_cea_dominant_on_random_instances_and_grids():
@@ -197,3 +201,168 @@ def test_loss_based_rules_are_manipulable_somewhere(rule):
         if not dominance_check(sit, cfg).truthful_dominant:
             return
     pytest.fail(f"no profitable deviation found for {rule} in 60 draws")
+
+
+def _reference_dominance(sit, cfg):
+    """The per-cell loop: one ``mechanism_payoff`` per cell, in the order of
+    ``dominance_check`` (claimant, opponent profile, deviation)."""
+    k = cfg.claimants
+    checked = 0
+    for i in range(k):
+        other_grids = [cfg.grids[j] for j in range(k) if j != i]
+        for others in itertools.product(*other_grids):
+            profile = list(others)
+            profile.insert(i, cfg.true_demands[i])
+            truthful = mechanism_payoff(sit, cfg, profile, i)
+            for deviation in cfg.grids[i]:
+                checked += 1
+                if deviation == cfg.true_demands[i]:
+                    continue
+                profile[i] = deviation
+                payoff = mechanism_payoff(sit, cfg, profile, i)
+                if payoff > truthful:
+                    profile[i] = cfg.true_demands[i]
+                    return DominanceReport(
+                        truthful_dominant=False, cells_checked=checked,
+                        counterexample=Deviation(
+                            claimant=i, opponent_reports=tuple(profile),
+                            deviation=deviation, truthful_payoff=truthful,
+                            deviant_payoff=payoff))
+            profile[i] = cfg.true_demands[i]
+    return DominanceReport(truthful_dominant=True, cells_checked=checked)
+
+
+BLOCK_STRUCTURES = {
+    3: [((1, 2), (3,)), ((1,), (2, 3))],
+    4: [((1, 2), (3, 4)), ((1,), (2, 4), (3,)), ((1, 2, 3), (4,))],
+}
+
+
+def _oracle_cases(rule, count):
+    """Seeded economies with 2-4 claimants, singleton and block structures,
+    default and explicit grids."""
+    rng = random.Random(7000 + RULES.index(rule))
+    cases = []
+    while len(cases) < count:
+        n = 2 + len(cases) % 3
+        sit = support.scarce_situation(rng, n_firms=n)
+        if sit is None:
+            continue
+        structure = None
+        if len(cases) % 2 and n >= 3:
+            structure = rng.choice(BLOCK_STRUCTURES[n])
+        grid = None
+        if len(cases) % 4 >= 2:
+            grid = [support.rand_fraction(rng, 0, 15) for _ in range(3)] + [sit.cap]
+        cases.append((sit, make_config(sit, rule, structure=structure, grid=grid)))
+    return cases
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_dominance_check_matches_the_per_cell_oracle(rule):
+    counterexamples = 0
+    for sit, cfg in _oracle_cases(rule, 12):
+        report = dominance_check(sit, cfg)
+        assert report == _reference_dominance(sit, cfg), (sit, cfg)
+        counterexamples += not report.truthful_dominant
+    if rule == "cea":
+        assert counterexamples == 0
+    else:  # the early exit is exercised
+        assert counterexamples >= 2
+
+
+def _count_work(monkeypatch):
+    allocations = []
+    valuations = collections.Counter()
+    real_allocate, real_value = mechanism.allocate, mechanism.coalition_value
+
+    def counting_allocate(rule, claims, cap):
+        allocations.append(tuple(claims))
+        return real_allocate(rule, claims, cap)
+
+    def counting_value(sit, members, permits):
+        valuations[frozenset(members), permits] += 1
+        return real_value(sit, members, permits)
+
+    monkeypatch.setattr(mechanism, "allocate", counting_allocate)
+    monkeypatch.setattr(mechanism, "coalition_value", counting_value)
+    return allocations, valuations
+
+
+def test_dominance_check_rations_each_profile_once(monkeypatch, example3):
+    allocations, valuations = _count_work(monkeypatch)
+    cea = make_config(example3, "cea", grid=REFERENCE_GRID)
+    profiles = math.prod(len(g) for g in cea.grids)
+    assert dominance_check(example3, cea).truthful_dominant
+    assert len(allocations) == len(set(allocations)) == profiles
+    assert set(valuations.values()) == {1}
+
+    del allocations[:]
+    valuations.clear()
+    prop = make_config(example3, "prop", grid=REFERENCE_GRID)
+    assert not dominance_check(example3, prop).truthful_dominant
+    assert len(allocations) == len(set(allocations)) < profiles
+    assert set(valuations.values()) == {1}
+
+
+def test_dominance_check_work_on_four_claimants(monkeypatch):
+    allocations, valuations = _count_work(monkeypatch)
+    rng = random.Random(44)
+    sit = None
+    while sit is None:
+        sit = support.scarce_situation(rng, n_firms=4)
+    cfg = make_config(sit, "cea")
+    assert dominance_check(sit, cfg).truthful_dominant
+    assert len(allocations) == math.prod(len(g) for g in cfg.grids)
+    assert set(valuations.values()) == {1}
+
+
+def test_grid_limit_enforced(monkeypatch, example3):
+    allocations, valuations = _count_work(monkeypatch)
+    cfg = make_config(example3, "cea", grid=list(range(0, 30)))
+    with pytest.raises(GridSizeError):
+        dominance_check(example3, cfg, cell_limit=100)
+    assert allocations == [] and not valuations
+
+
+def _halving_cea(cap, claims):
+    return tuple(d / 2 for d in claims)
+
+
+def test_non_exhausting_rule_faults_the_mechanism_checks(monkeypatch, example3):
+    monkeypatch.setitem(bankruptcy._RULE_FUNCTIONS, "cea", _halving_cea)
+    cfg = make_config(example3, "cea", grid=REFERENCE_GRID)
+    with pytest.raises(RuntimeError, match="exhaust"):
+        dominance_check(example3, cfg)
+    with pytest.raises(RuntimeError, match="exhaust"):
+        equilibrium_check(example3, cfg, (30, 20, 25))
+
+
+def test_non_exhausting_rule_faults_the_mechanism_checks_under_python_O():
+    script = """
+import sys
+from permit_games import bankruptcy
+from permit_games.mechanism import dominance_check, equilibrium_check, make_config
+from permit_games.production import Situation
+import test_mechanism
+bankruptcy._RULE_FUNCTIONS["cea"] = test_mechanism._halving_cea
+sit = Situation.create(production=[[2, 3], [3, 2], [1, 1]],
+                       endowments=[[40, 60, 80], [60, 40, 50]],
+                       prices=[50, 60], tax=14, cap=50)
+cfg = make_config(sit, "cea", grid=test_mechanism.REFERENCE_GRID)
+for check in (lambda: dominance_check(sit, cfg),
+              lambda: equilibrium_check(sit, cfg, (30, 20, 25))):
+    try:
+        check()
+    except RuntimeError as exc:
+        print("raised", exc)
+print("optimize", sys.flags.optimize)
+"""
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-1] == "optimize 1"
+    assert len(lines) == 3 and all("exhaust" in line for line in lines[:2])
