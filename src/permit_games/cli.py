@@ -1,16 +1,16 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 negative analysis verdict (empty core, manipulable
-mechanism, infeasible ledger, failed reproduction), 2 input or usage error,
-3 internal fault (a failed certificate or invariant check, which is a bug
-and never a verdict on the input; one ``internal error:`` line on stderr).
+mechanism, infeasible ledger, failed reproduction), 2 input or usage error
+(one of the package's input error classes), 3 internal fault (a failed
+certificate or invariant check, or any other ValueError, which is a bug and
+never a verdict on the input; one ``internal error:`` line on stderr).
 Output is deterministic for identical input: no timestamps, stable ordering.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
@@ -24,11 +24,11 @@ from .production import SituationError, optimal_demand
 from .reference import run_reference_checks
 from .report import FORMATS, Report, coalition_label, decimal_str, partition_label
 from .scenario import Scenario, ScenarioError, dump_scenario, load_scenario, parse_grid
-from .stability import CoreVerdict, core_nonempty, stable_pipeline, trade_ledger
+from .stability import CoreVerdict, TargetError, core_nonempty, stable_pipeline, trade_ledger
 
 INPUT_ERRORS = (
     ScenarioError, SituationError, bankruptcy.RationingError,
-    PartitionLimitError, GridSizeError, LpStructureError, ValueError,
+    PartitionLimitError, GridSizeError, LpStructureError, TargetError,
 )
 
 COMMANDS = (
@@ -47,7 +47,7 @@ def main(argv=None) -> int:
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 
@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--precision", type=int,
                         help="decimal digits in reports (default from scenario, else 2)")
     common.add_argument("--format", choices=FORMATS, dest="fmt",
-                        help="report format (default table; PERMIT_GAMES_FORMAT overrides)")
+                        help="report format (default from scenario, else table)")
     common.add_argument("--partition-limit", type=int,
                         help="largest firm count enumerated exhaustively")
     common.add_argument("--grid",
@@ -133,15 +133,7 @@ def _precision(scenario, args) -> int:
 
 
 def _format(scenario, args) -> str:
-    if args.fmt:
-        return args.fmt
-    env = os.environ.get("PERMIT_GAMES_FORMAT")
-    if env:
-        if env not in FORMATS:
-            raise ScenarioError(
-                f"PERMIT_GAMES_FORMAT={env!r} is not one of {', '.join(FORMATS)}")
-        return env
-    return scenario.options.report_format
+    return args.fmt or scenario.options.report_format
 
 
 def _limit(scenario, args) -> int:

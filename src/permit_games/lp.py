@@ -1,5 +1,9 @@
 """Exact linear programming over the rationals.
 
+Every program has one shape, max c.x subject to A x {<=, =, >=} b and
+x >= 0, so the declared variables are the standard form's structural
+columns.  A quantity that may be negative is the difference of two of them.
+
 Dense two-phase primal simplex with Bland's least-index pivot rule, so the
 solver terminates under degeneracy and is deterministic for identical input.
 There is no floating point anywhere, which keeps downstream argmin/argmax
@@ -42,7 +46,6 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _FLIPPED = {LE: GE, GE: LE, EQ: EQ}
 
@@ -68,24 +71,31 @@ def as_fraction(x) -> Fraction:
     raise LpStructureError(f"refusing inexact or unknown numeric type {type(x).__name__}: {x!r}")
 
 
-def _fraction_vector(values) -> tuple[Fraction, ...]:
-    return tuple(as_fraction(v) for v in values)
-
-
 @dataclass(frozen=True)
 class LinearProgram:
-    """max objective . x subject to rows {<=,=,>=} rhs and variable bounds.
+    """max objective . x subject to rows {<=,=,>=} rhs and x >= 0.
 
-    ``lower[j]`` is a Fraction (default 0) or None for a free variable;
-    ``upper[j]`` is a Fraction or None (default) for no upper bound.
+    Construction checks the shape and the senses, so a program that exists
+    is well formed; a malformed one raises LpStructureError.
     """
 
     objective: tuple[Fraction, ...]
     rows: tuple[tuple[Fraction, ...], ...]
     senses: tuple[str, ...]
     rhs: tuple[Fraction, ...]
-    lower: tuple[Optional[Fraction], ...]
-    upper: tuple[Optional[Fraction], ...]
+
+    def __post_init__(self):
+        n = self.n_vars
+        if n == 0:
+            raise LpStructureError("a program needs at least one variable")
+        if not (len(self.senses) == len(self.rhs) == self.n_rows):
+            raise LpStructureError("row count, senses and rhs lengths disagree")
+        for i, (row, sense) in enumerate(zip(self.rows, self.senses)):
+            if len(row) != n:
+                raise LpStructureError(
+                    f"constraint {i}: {len(row)} coefficients for {n} variables")
+            if sense not in (LE, EQ, GE):
+                raise LpStructureError(f"constraint {i}: unknown sense {sense!r}")
 
     @property
     def n_vars(self) -> int:
@@ -96,59 +106,31 @@ class LinearProgram:
         return len(self.rows)
 
 
-def linear_program(objective, constraints, lower=ZERO, upper=None) -> LinearProgram:
-    """Build a validated LinearProgram.
+def linear_program(objective, constraints) -> LinearProgram:
+    """Build a LinearProgram from exact literals.
 
     ``constraints`` is an iterable of (coefficients, sense, rhs) triples.
-    ``lower``/``upper`` may be a single bound applied to every variable or a
-    per-variable sequence; None means unbounded on that side.
     """
-    obj = _fraction_vector(objective)
-    n = len(obj)
-    if n == 0:
-        raise LpStructureError("a program needs at least one variable")
     rows, senses, rhs = [], [], []
     for k, triple in enumerate(constraints):
         try:
             coeffs, sense, b = triple
         except (TypeError, ValueError) as exc:
             raise LpStructureError(f"constraint {k}: expected (coeffs, sense, rhs)") from exc
-        coeffs = _fraction_vector(coeffs)
-        if len(coeffs) != n:
-            raise LpStructureError(
-                f"constraint {k}: {len(coeffs)} coefficients for {n} variables")
-        if sense not in (LE, EQ, GE):
-            raise LpStructureError(f"constraint {k}: unknown sense {sense!r}")
-        rows.append(coeffs)
+        rows.append(tuple(map(as_fraction, coeffs)))
         senses.append(sense)
         rhs.append(as_fraction(b))
-
-    def expand(bound):
-        if bound is None or isinstance(bound, (int, Fraction, str)):
-            one = None if bound is None else as_fraction(bound)
-            return tuple(one for _ in range(n))
-        seq = tuple(bound)
-        if len(seq) != n:
-            raise LpStructureError(f"{len(seq)} bounds for {n} variables")
-        return tuple(None if b is None else as_fraction(b) for b in seq)
-
     return LinearProgram(
-        objective=obj,
-        rows=tuple(rows),
-        senses=tuple(senses),
-        rhs=tuple(rhs),
-        lower=expand(lower),
-        upper=expand(upper),
-    )
+        tuple(map(as_fraction, objective)), tuple(rows), tuple(senses), tuple(rhs))
 
 
 @dataclass(frozen=True)
 class LpSolution:
     """Outcome of a solve; primal/dual/objective_value are None unless optimal.
 
-    ``dual`` carries one multiplier per declared constraint, with signs fixed
-    so that for a maximization a <=-row has a nonnegative multiplier and a
-    >=-row a nonpositive one.  At an optimum the pair (primal, dual) satisfies
+    ``dual`` carries one multiplier per constraint, with signs fixed so that
+    for a maximization a <=-row has a nonnegative multiplier and a >=-row a
+    nonpositive one.  At an optimum the pair (primal, dual) satisfies
     complementary slackness exactly.
     """
 
@@ -159,7 +141,7 @@ class LpSolution:
 
 
 class _StdRow(NamedTuple):
-    """structural . u {sense} rhs, every entry over ``den``; rhs >= 0.
+    """structural . x {sense} rhs, every entry over ``den``; rhs >= 0.
 
     ``flip`` is -1 when the declared row was negated to make rhs >= 0.
     """
@@ -171,59 +153,24 @@ class _StdRow(NamedTuple):
     flip: int
 
 
+def _std_row(coeffs: Sequence[Fraction], rhs: Fraction, sense: str) -> _StdRow:
+    nums, den = _integer_row([*coeffs, rhs])
+    b = nums.pop()
+    if b < 0:
+        return _StdRow([-a for a in nums], _FLIPPED[sense], -b, den, -1)
+    return _StdRow(nums, sense, b, den, 1)
+
+
 def solve(lp: LinearProgram) -> LpSolution:
     """Solve ``lp`` exactly; returns status optimal/infeasible/unbounded."""
-    _validate(lp)
     n = lp.n_vars
-
-    # Map declared variables onto nonnegative standard-form columns.
-    # Finite lower bound: x = lower + u.  Free: x = u+ - u-.
-    col_of_var: list[tuple[str, int, int]] = []  # (kind, col, col_neg)
-    shifts: list[Fraction] = []
-    std_cols = 0
-    for j in range(n):
-        low = lp.lower[j]
-        if low is None:
-            col_of_var.append(("free", std_cols, std_cols + 1))
-            shifts.append(ZERO)
-            std_cols += 2
-        else:
-            col_of_var.append(("shift", std_cols, -1))
-            shifts.append(low)
-            std_cols += 1
-
-    def std_row(coeffs: Sequence[Fraction], rhs: Fraction, sense: str) -> _StdRow:
-        nums, den = _integer_row([*coeffs, rhs])
-        row = [0] * std_cols
-        for j in range(n):
-            a = nums[j]
-            if a:
-                kind, c0, c1 = col_of_var[j]
-                row[c0] = a
-                if kind == "free":
-                    row[c1] = -a
-        if nums[n] < 0:
-            return _StdRow([-a for a in row], _FLIPPED[sense], -nums[n], den, -1)
-        return _StdRow(row, sense, nums[n], den, 1)
-
-    # Standard-form rows: the declared rows, then one internal <=-row per
-    # finite upper bound (its dual is not reported).
-    work = []
-    for i in range(lp.n_rows):
-        shift = sum((a * s for a, s in zip(lp.rows[i], shifts) if s), ZERO)
-        work.append(std_row(lp.rows[i], lp.rhs[i] - shift, lp.senses[i]))
-    n_declared = lp.n_rows
-    for j in range(n):
-        if lp.upper[j] is not None:
-            coeffs = [ZERO] * n
-            coeffs[j] = ONE
-            work.append(std_row(coeffs, lp.upper[j] - shifts[j], LE))
-    m = len(work)
+    m = lp.n_rows
+    work = [_std_row(*row) for row in zip(lp.rows, lp.rhs, lp.senses)]
 
     # Column layout: structural | slack/surplus | artificial, then rhs.
     slack_col: list[int] = [-1] * m
     unit_col: list[int] = [-1] * m  # column whose tableau entries expose B^-1
-    next_col = std_cols
+    next_col = n
     for i in range(m):
         if work[i].sense != EQ:
             slack_col[i] = next_col
@@ -243,7 +190,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     dens: list[int] = []
     basis = [0] * m
     for i, (structural, sense, b, den, _) in enumerate(work):
-        row = structural + [0] * (total - std_cols) + [b]
+        row = structural + [0] * (total - n) + [b]
         if slack_col[i] >= 0:
             row[slack_col[i]] = den if sense == LE else -den
         row[unit_col[i]] = den
@@ -252,12 +199,6 @@ def solve(lp: LinearProgram) -> LpSolution:
         basis[i] = unit_col[i]
 
     obj, obj_den = _integer_row(lp.objective)
-    cost = [0] * total
-    for j in range(n):
-        kind, c0, c1 = col_of_var[j]
-        cost[c0] = obj[j]
-        if kind == "free":
-            cost[c1] = -obj[j]
 
     if first_art < total:
         phase1 = [0] * first_art + [-1] * (total - first_art)
@@ -267,29 +208,22 @@ def solve(lp: LinearProgram) -> LpSolution:
             return LpSolution(status=INFEASIBLE)
         _drive_out_artificials(rows, dens, basis, first_art)
 
-    reduced = _run_simplex(rows, dens, basis, cost, obj_den, first_art)
+    reduced = _run_simplex(rows, dens, basis, obj + [0] * (total - n), obj_den, first_art)
     if reduced is None:
         return LpSolution(status=UNBOUNDED)
     red, red_den = reduced
 
-    values = [ZERO] * std_cols
+    primal = [ZERO] * n
     for i in range(m):
-        if basis[i] < std_cols:
-            values[basis[i]] = Fraction(rows[i][total], dens[i])
-    primal = []
-    for j in range(n):
-        kind, c0, c1 = col_of_var[j]
-        x = shifts[j] + values[c0]
-        if kind == "free":
-            x = values[c0] - values[c1]
-        primal.append(x)
+        if basis[i] < n:
+            primal[basis[i]] = Fraction(rows[i][total], dens[i])
     objective_value = sum(
         (cj * xj for cj, xj in zip(lp.objective, primal)), ZERO)
 
     # y = c_B B^-1.  A unit column costs nothing in phase 2, so its reduced
-    # cost is -y_i; a flipped declared row reports -y_i.
+    # cost is -y_i; a flipped row reports -y_i.
     y = [-red[unit_col[i]] for i in range(m)]  # numerators over red_den
-    dual = tuple(Fraction(work[i].flip * y[i], red_den) for i in range(n_declared))
+    dual = tuple(Fraction(row.flip * yi, red_den) for row, yi in zip(work, y))
 
     solution = LpSolution(
         status=OPTIMAL,
@@ -297,26 +231,8 @@ def solve(lp: LinearProgram) -> LpSolution:
         primal=tuple(primal),
         dual=dual,
     )
-    _self_check(lp, solution, work, cost[:std_cols], obj_den, y, red_den, values)
+    _self_check(lp, solution, work, obj, obj_den, y, red_den)
     return solution
-
-
-def _validate(lp: LinearProgram) -> None:
-    n = lp.n_vars
-    if not (len(lp.senses) == len(lp.rhs) == lp.n_rows):
-        raise LpStructureError("row count, senses and rhs lengths disagree")
-    for i, row in enumerate(lp.rows):
-        if len(row) != n:
-            raise LpStructureError(f"row {i} has {len(row)} coefficients, expected {n}")
-    if len(lp.lower) != n or len(lp.upper) != n:
-        raise LpStructureError("bounds length disagrees with variable count")
-    for i, sense in enumerate(lp.senses):
-        if sense not in (LE, EQ, GE):
-            raise LpStructureError(f"row {i}: unknown sense {sense!r}")
-    for j in range(n):
-        low, up = lp.lower[j], lp.upper[j]
-        if low is not None and up is not None and low > up:
-            raise LpStructureError(f"variable {j}: lower bound exceeds upper bound")
 
 
 def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -427,16 +343,15 @@ def _eliminate(row, den, prow, pden, pc, support) -> int:
     return den
 
 
-def _self_check(lp, sol, work, cost, cost_den, y, y_den, values) -> None:
+def _self_check(lp, sol, work, cost, cost_den, y, y_den) -> None:
     """Exact certificate checks; a violation is a solver bug.
 
     ``work`` holds the standard-form rows as built before the first pivot,
-    ``cost`` the objective on their structural columns (over ``cost_den``),
-    ``y`` the standard-form duals (over ``y_den``) and ``values`` the
-    structural variables.  Primal feasibility, complementary slackness and
-    strong duality hold for y = c_B B^-1 at any feasible basis.  Dual
-    feasibility, recomputed here from the rows and not read from the
-    tableau, is what proves the basis optimal.
+    ``cost`` the objective's numerators over ``cost_den`` and ``y`` the
+    standard-form duals (over ``y_den``).  Primal feasibility, complementary
+    slackness and strong duality hold for y = c_B B^-1 at any feasible
+    basis.  Dual feasibility, recomputed here from the rows and not read
+    from the tableau, is what proves the basis optimal.
     """
     x = sol.primal
     xs, x_den = _integer_row(x)
@@ -454,10 +369,8 @@ def _self_check(lp, sol, work, cost, cost_den, y, y_den, values) -> None:
                 raise RuntimeError(f"complementary slackness violated on row {i}")
             if (sense == LE and dual < 0) or (sense == GE and dual > 0):
                 raise RuntimeError(f"dual sign violated on row {i}")
-    for j, v in enumerate(x):
-        low, up = lp.lower[j], lp.upper[j]
-        if (low is not None and v < low) or (up is not None and v > up):
-            raise RuntimeError(f"variable {j} left its bounds")
+    if any(v < 0 for v in x):
+        raise RuntimeError("simplex returned a negative primal entry")
     # Dual feasibility: c_j - y.A_j <= 0 on every structural and slack column j.
     # Row i is over work[i].den, so weight y_i by L / den_i for a common L.
     common = lcm(*(row.den for row in work))
@@ -470,8 +383,5 @@ def _self_check(lp, sol, work, cost, cost_den, y, y_den, values) -> None:
     for i, (row, yi) in enumerate(zip(work, y)):
         if (row.sense == LE and yi < 0) or (row.sense == GE and yi > 0):
             raise RuntimeError(f"slack of standard row {i} still improves: not optimal")
-    # Strong duality in the standard-form space (includes internal bound rows).
-    dual_value = Fraction(sum(w * row.rhs for w, row in zip(weights, work)), scale)
-    primal_value = sum((c * v for c, v in zip(cost, values) if c), ZERO) / cost_den
-    if dual_value != primal_value:
-        raise RuntimeError("strong duality failed in standard form")
+    if Fraction(sum(w * row.rhs for w, row in zip(weights, work)), scale) != sol.objective_value:
+        raise RuntimeError("strong duality failed")

@@ -118,7 +118,7 @@ def _options_from_dict(raw) -> ScenarioOptions:
 
 
 def parse_grid(spec: Union[str, list, None]) -> Optional[tuple[Fraction, ...]]:
-    """A grid is 'auto' (None), a comma list like '0,10,50/3', or a JSON list."""
+    """A grid of nonnegative levels: 'auto' (None), a comma list like '0,10,50/3', or a JSON list."""
     if spec is None:
         return None
     if isinstance(spec, str):
@@ -127,10 +127,14 @@ def parse_grid(spec: Union[str, list, None]) -> Optional[tuple[Fraction, ...]]:
         parts = [p.strip() for p in spec.split(",") if p.strip()]
         if not parts:
             raise ScenarioError("grid: empty specification")
-        return tuple(_exact(p, "grid") for p in parts)
-    if isinstance(spec, list):
-        return tuple(_exact(v, f"grid[{j}]") for j, v in enumerate(spec))
-    raise ScenarioError("grid: expected 'auto', a comma list, or a JSON list")
+        levels = tuple(_exact(p, "grid") for p in parts)
+    elif isinstance(spec, list):
+        levels = tuple(_exact(v, f"grid[{j}]") for j, v in enumerate(spec))
+    else:
+        raise ScenarioError("grid: expected 'auto', a comma list, or a JSON list")
+    if any(v < 0 for v in levels):
+        raise ScenarioError("report levels must be nonnegative")
+    return levels
 
 
 def load_scenario(path) -> Scenario:

@@ -34,6 +34,11 @@ from .production import (
 from . import bankruptcy
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+class TargetError(ValueError):
+    """A trading target that does not fit the economy (length or efficiency)."""
 
 
 @dataclass(frozen=True)
@@ -99,18 +104,19 @@ def core_nonempty(game: CharacteristicGame) -> CoreVerdict:
         return CoreVerdict(nonempty=True, witness=(grand,))
     proper = [fs for fs in game.coalitions() if len(fs) < n]
     index = {p: i for i, p in enumerate(players)}
+    # Payoffs may be negative, so player i's payoff is x[2i] - x[2i+1].
     constraints = []
     for fs in proper:
-        row = [ZERO] * n
+        row = [ZERO] * (2 * n)
         for i in fs:
-            row[index[i]] = Fraction(1)
+            row[2 * index[i]], row[2 * index[i] + 1] = ONE, -ONE
         constraints.append((row, GE, game.values[fs]))
-    sol = solve(linear_program([Fraction(-1)] * n, constraints, lower=None))
+    sol = solve(linear_program([-ONE, ONE] * n, constraints))
     if sol.status != OPTIMAL:
         raise RuntimeError(f"core program unexpectedly {sol.status}")
     cheapest = -sol.objective_value
     if cheapest <= grand:
-        witness = list(sol.primal)
+        witness = [sol.primal[2 * i] - sol.primal[2 * i + 1] for i in range(n)]
         witness[0] += grand - cheapest  # hand any surplus to the first player
         verdict = CoreVerdict(nonempty=True, witness=tuple(witness))
         if not in_core(game, verdict.witness).ok:
@@ -310,13 +316,13 @@ def trade_ledger(sit: Situation, permit_split: Sequence, target: Sequence,
     h = tuple(as_fraction(v) for v in permit_split)
     t = tuple(as_fraction(v) for v in target)
     if len(h) != len(firms) or len(t) != len(firms):
-        raise ValueError("split and target must have one entry per firm")
+        raise TargetError("split and target must have one entry per firm")
     if sum(h, ZERO) != sit.cap or any(v < 0 for v in h):
         raise ValueError(f"permit split must be nonnegative and sum to the cap {sit.cap}")
     grand = coalition_value(
         sit, firms, min(sit.cap, optimal_demand(sit, firms)))
     if sum(t, ZERO) != grand:
-        raise ValueError(
+        raise TargetError(
             f"target is not efficient: sums to {sum(t, ZERO)}, grand profit is {grand}")
     manager = sit.tax * sit.cap
 

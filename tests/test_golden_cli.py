@@ -65,8 +65,7 @@ def _run(argv, capsys):
     return code, capsys.readouterr().out
 
 
-def test_cli_reports_match_recording(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("PERMIT_GAMES_FORMAT", raising=False)
+def test_cli_reports_match_recording(tmp_path, capsys):
     golden = json.loads(GOLDEN.read_text())
     cases = dict(_cases(tmp_path, golden["scenarios"]))
     assert sorted(cases) == sorted(golden["runs"])
@@ -92,11 +91,9 @@ def _record(directory: Path) -> dict:
 
 
 if __name__ == "__main__":
-    import os
     import tempfile
 
     sys.path.insert(0, str(Path(__file__).parent))
-    os.environ.pop("PERMIT_GAMES_FORMAT", None)
     with tempfile.TemporaryDirectory() as tmp:
         data = _record(Path(tmp))
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")

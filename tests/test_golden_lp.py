@@ -5,8 +5,18 @@ status, objective value, primal and dual the solver returned, every number
 written as a ``p/q`` string.  The programs are random bounded programs,
 programs with degenerate right-hand sides, with free variables, with finite
 lower and upper bounds, with a redundant ``=`` row (its artificial stays
-basic), and the core programs of seeded four- and five-firm derived games.
-Any change to the pivot sequence that moves a vertex or a dual shows here.
+basic), and the core programs of seeded four- and five-firm derived games,
+recorded with one free variable per player.  Any change to the pivot
+sequence that moves a vertex or a dual shows here.
+
+``lp.solve`` takes only x >= 0 programs, so the replay rewrites a recorded
+program with free or bounded variables before it solves: a free variable
+becomes two adjacent columns x = u - v, a finite lower bound L shifts into
+the right-hand sides (x = L + u) and is added back to the primal, and a
+finite upper bound becomes a trailing ``<=`` row whose dual is dropped.
+That is the column and row order in which the recording was solved, so
+the pivots are the recorded ones.
+
 Regenerate the file only after an intended output change, and say why in
 CHANGES.md:
 
@@ -46,26 +56,52 @@ def _parse(values):
     return None if values is None else tuple(None if v is None else F(v) for v in values)
 
 
-def _encode_program(program: lp.LinearProgram) -> dict:
+def _encode(objective, rows, senses, rhs, lower=None, upper=None) -> dict:
+    """A program in the recorded form; the bounds default to x >= 0."""
+    n = len(objective)
     return {
-        "objective": _vector(program.objective),
-        "rows": [_vector(row) for row in program.rows],
-        "senses": list(program.senses),
-        "rhs": _vector(program.rhs),
-        "lower": _vector(program.lower),
-        "upper": _vector(program.upper),
+        "objective": _vector(objective),
+        "rows": [_vector(row) for row in rows],
+        "senses": list(senses),
+        "rhs": _vector(rhs),
+        "lower": _vector([F(0)] * n if lower is None else lower),
+        "upper": _vector([None] * n if upper is None else upper),
     }
 
 
-def _decode_program(data: dict) -> lp.LinearProgram:
-    return lp.LinearProgram(
-        objective=_parse(data["objective"]),
-        rows=tuple(_parse(row) for row in data["rows"]),
-        senses=tuple(data["senses"]),
-        rhs=_parse(data["rhs"]),
-        lower=_parse(data["lower"]),
-        upper=_parse(data["upper"]),
-    )
+def _solve_recorded(data: dict) -> lp.LpSolution:
+    """Solve a recorded program through its x >= 0 rewrite (module docstring)."""
+    objective, rhs = _parse(data["objective"]), _parse(data["rhs"])
+    rows = [_parse(row) for row in data["rows"]]
+    lower, upper = _parse(data["lower"]), _parse(data["upper"])
+    n = len(objective)
+
+    def columns(coeffs):
+        return tuple(c for a, low in zip(coeffs, lower)
+                     for c in ((a, -a) if low is None else (a,)))
+
+    std_rows = [columns(row) for row in rows]
+    std_rhs = [b - sum(a * low for a, low in zip(row, lower) if low)
+               for row, b in zip(rows, rhs)]
+    senses = list(data["senses"])
+    for j in range(n):
+        if upper[j] is not None:
+            std_rows.append(columns([F(int(k == j)) for k in range(n)]))
+            std_rhs.append(upper[j] - (lower[j] or 0))
+            senses.append(lp.LE)
+    sol = lp.solve(lp.LinearProgram(
+        objective=columns(objective), rows=tuple(std_rows),
+        senses=tuple(senses), rhs=tuple(std_rhs)))
+    if sol.status != lp.OPTIMAL:
+        return sol
+    parts = iter(sol.primal)
+    primal = tuple(u - next(parts) if low is None else low + u
+                   for low, u in zip(lower, parts))
+    return lp.LpSolution(
+        status=sol.status,
+        objective_value=sum((c * x for c, x in zip(objective, primal)), F(0)),
+        primal=primal,
+        dual=sol.dual[:len(rows)])
 
 
 def _encode_solution(sol: lp.LpSolution) -> dict:
@@ -81,7 +117,7 @@ def test_lp_solutions_match_recording():
     golden = json.loads(GOLDEN.read_text())
     assert len(golden) >= 150
     for case in golden:
-        sol = lp.solve(_decode_program(case["program"]))
+        sol = _solve_recorded(case["program"])
         assert _encode_solution(sol) == case["solution"], case["name"]
 
 
@@ -95,17 +131,21 @@ def test_beale_cycling_example_terminates_at_the_optimum():
 
 
 def _rebuild(program, rows=None, rhs=None, senses=None, lower=None, upper=None):
-    rows = program.rows if rows is None else rows
-    rhs = program.rhs if rhs is None else rhs
-    senses = program.senses if senses is None else senses
-    return lp.linear_program(
-        program.objective, list(zip(rows, senses, rhs)),
-        lower=program.lower if lower is None else lower,
-        upper=program.upper if upper is None else upper)
+    return _encode(program.objective,
+                   program.rows if rows is None else rows,
+                   program.senses if senses is None else senses,
+                   program.rhs if rhs is None else rhs,
+                   lower=lower, upper=upper)
+
+
+def _free_form(program):
+    """A core program as recorded: its column pair (u, v) is one free x = u - v."""
+    return _encode(program.objective[::2], [row[::2] for row in program.rows],
+                   program.senses, program.rhs, lower=[None] * (program.n_vars // 2))
 
 
 def _programs():
-    """(name, program) pairs, seeded; only called when recording."""
+    """(name, recorded program) pairs, seeded; only called when recording."""
     import support
     from permit_games import stability
     from permit_games.bankruptcy import RULES
@@ -115,13 +155,13 @@ def _programs():
     def feasible(draw):
         while True:
             program = draw()
-            if lp.solve(program).status != lp.INFEASIBLE:
+            if _solve_recorded(program).status != lp.INFEASIBLE:
                 return program
 
-    yield "beale", BEALE
+    yield "beale", _rebuild(BEALE)
     rng = random.Random(1)
     for k in range(60):
-        yield f"random-{k}", support.rand_bounded_program(rng, max_vars=5, max_rows=5)
+        yield f"random-{k}", _rebuild(support.rand_bounded_program(rng, max_vars=5, max_rows=5))
     rng = random.Random(2)
     for k in range(20):
         def degenerate():
@@ -183,7 +223,7 @@ def _programs():
                                    ("resource-plus", resource_game(game, PLUS)),
                                    ("resource-minus", resource_game(game, MINUS))):
                 stability.core_nonempty(derived)
-                yield f"core-n{n_firms}-{k}-{title}", captured.pop()
+                yield f"core-n{n_firms}-{k}-{title}", _free_form(captured.pop())
     finally:
         stability.solve = lp.solve
 
@@ -191,8 +231,8 @@ def _programs():
 def _record() -> list:
     cases = []
     for name, program in _programs():
-        cases.append({"name": name, "program": _encode_program(program),
-                      "solution": _encode_solution(lp.solve(program))})
+        cases.append({"name": name, "program": program,
+                      "solution": _encode_solution(_solve_recorded(program))})
     return cases
 
 

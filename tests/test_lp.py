@@ -59,19 +59,6 @@ def test_equality_and_negative_rhs_rows():
     assert sol.primal == (F(7, 2), F(1, 2))
 
 
-def test_free_variables_and_bounds():
-    program = lp.linear_program(
-        [1, -1],
-        [([1, 1], lp.LE, 10), ([1, 0], lp.GE, -20)],
-        lower=[None, 2],
-        upper=[6, None],
-    )
-    sol = lp.solve(program)
-    assert sol.status == lp.OPTIMAL
-    assert sol.primal == (F(6), F(2))
-    assert sol.objective_value == 4
-
-
 def test_structure_errors_are_not_statuses():
     with pytest.raises(lp.LpStructureError):
         lp.linear_program([1, 2], [([1], lp.LE, 3)])
@@ -79,6 +66,11 @@ def test_structure_errors_are_not_statuses():
         lp.linear_program([1], [([1], "<", 3)])
     with pytest.raises(lp.LpStructureError):
         lp.linear_program([0.5], [([1], lp.LE, 3)])
+    # A program built directly is checked at construction, not at solve time.
+    with pytest.raises(lp.LpStructureError, match="coefficients"):
+        lp.LinearProgram(objective=(F(1), F(2)), rows=((F(1),),), senses=(lp.LE,), rhs=(F(3),))
+    with pytest.raises(lp.LpStructureError, match="unknown sense"):
+        lp.LinearProgram(objective=(F(1),), rows=((F(1),),), senses=("<",), rhs=(F(3),))
 
 
 def test_matches_oracle_on_random_programs():
@@ -179,6 +171,25 @@ def test_self_check_rejects_a_non_optimal_basis(monkeypatch, kernel, program):
     monkeypatch.setattr(lp, "_run_simplex", kernel)
     with pytest.raises(RuntimeError, match="not optimal"):
         lp.solve(program)
+
+
+# max -x s.t. x >= -1 has its optimum at x = 0.
+NEGATIVE_PIVOT = lp.linear_program([-1], [([1], lp.GE, -1)])
+
+
+def _pivot_on_a_negative_entry(rows, dens, basis, cost, cost_den, n_enterable):
+    """A broken kernel that first enters x through its negative entry, so x = -1."""
+    lp._pivot(rows, dens, basis, 0, 0)
+    return _REAL_RUN_SIMPLEX(rows, dens, basis, cost, cost_den, n_enterable)
+
+
+def test_self_check_rejects_a_negative_primal(monkeypatch):
+    # x = -1 with dual 1 satisfies the row, complementary slackness, strong
+    # duality and dual feasibility; only the sign of x gives it away.
+    assert lp.solve(NEGATIVE_PIVOT).primal == (F(0),)
+    monkeypatch.setattr(lp, "_run_simplex", _pivot_on_a_negative_entry)
+    with pytest.raises(RuntimeError, match="negative primal"):
+        lp.solve(NEGATIVE_PIVOT)
 
 
 def test_self_check_holds_under_python_O():

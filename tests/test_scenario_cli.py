@@ -224,13 +224,6 @@ def test_csv_and_json_formats(scenario_path, capsys):
     assert rows[0]["demand"] == {"exact": "20", "decimal": "20.00"}
 
 
-def test_format_env_variable(scenario_path, capsys, monkeypatch):
-    monkeypatch.setenv("PERMIT_GAMES_FORMAT", "json")
-    code, out, _ = run_cli(capsys, "demands", "--scenario", str(scenario_path))
-    assert code == 0
-    json.loads(out)
-
-
 def test_precision_flag(scenario_path, capsys):
     code, out, _ = run_cli(
         capsys, "demands", "--scenario", str(scenario_path), "--precision", "4")
@@ -256,6 +249,33 @@ def test_input_errors_exit_two(tmp_path, capsys):
     assert code == 2 and "tax must be positive" in err
     code, _, err = run_cli(capsys, "demands")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["trade", "--target", "1,2"], "split and target must have one entry per firm"),
+    (["trade", "--target", "1,2,3"], "target is not efficient"),
+    (["mechanism", "--grid=-1,2"], "report levels must be nonnegative"),
+])
+def test_bad_targets_and_grids_exit_two(scenario_path, capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--scenario", str(scenario_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_negative_grid_in_scenario_options_is_an_input_error(tmp_path):
+    with pytest.raises(ScenarioError, match="nonnegative"):
+        load_scenario(write_scenario(tmp_path, {**MINIMAL, "options": {"grid": [0, "-1/2"]}}))
+
+
+def test_internal_value_error_exits_three(scenario_path, monkeypatch, capsys):
+    def broken(sit, coalition):
+        raise ValueError("broken demand program")
+
+    monkeypatch.setattr(cli, "optimal_demand", broken)
+    code, out, err = run_cli(capsys, "demands", "--scenario", str(scenario_path))
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: broken demand program\n"
 
 
 def test_internal_fault_exits_three(monkeypatch, capsys):

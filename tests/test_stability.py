@@ -114,6 +114,35 @@ def test_additive_game_core(cea_game):
     assert in_core(additive_game(weights), weights).ok
 
 
+def negative_game(grand):
+    worths = {(1,): -5, (2,): -3, (3,): -4, (1, 2): -6, (1, 3): -7, (2, 3): -5}
+    values = {frozenset(k): F(v) for k, v in worths.items()}
+    values[frozenset({1, 2, 3})] = F(grand)
+    return CharacteristicGame(players=(1, 2, 3), values=values)
+
+
+def test_core_with_negative_worths():
+    # The pair rows sum to 2(x1 + x2 + x3) >= -18, so at v(N) = -9 the core
+    # is the single point where every pair row binds.
+    game = negative_game(-9)
+    verdict = core_nonempty(game)
+    assert verdict.nonempty
+    assert verdict.witness == (F(-4), F(-2), F(-3))
+    assert in_core(game, verdict.witness).ok
+    # At v(N) = -10 the pairs over-claim with weight 1/2 each, while no
+    # partition's worths exceed v(N), so the certificate is balanced weights.
+    over = negative_game(-10)
+    verdict = core_nonempty(over)
+    assert not verdict.nonempty
+    cert = verdict.certificate
+    assert cert.kind == "balanced"
+    assert sorted((tuple(sorted(fs)), w) for fs, w in cert.parts) == [
+        ((1, 2), F(1, 2)), ((1, 3), F(1, 2)), ((2, 3), F(1, 2))]
+    assert cert.weighted_total == -9 > cert.grand_value == -10
+    for player in over.players:
+        assert sum(w for fs, w in cert.parts if player in fs) == 1
+
+
 def test_owen_allocation_reference(example3):
     result = owen_allocation(example3, [F(50, 3)] * 3)
     assert result.dual == (F(0), F(0), F(60))
