@@ -1,15 +1,24 @@
 """Rationing problems and the four division rules: CEA, CEL, PROP, TAL.
 
-Awards are computed exactly by walking sorted claim breakpoints, never by
-numeric root finding; exact water levels matter downstream because permit
-shares feed argmin/argmax comparisons over partitions.  ``allocate`` is the
-one serve-in-full-or-ration step behind every game and the mechanism.
+Every rule runs in integer units: claims and cap are integers in one common
+unit, and a rule returns integer numerators over one denominator, found by
+walking the sorted claim breakpoints (never by numeric root finding; exact
+water levels matter downstream because permit shares feed argmin/argmax
+comparisons over partitions).  ``ration`` serves integer claims in full or
+rations them, and checks that rationed awards exhaust the cap as an integer
+sum, ``sum(nums) == cap*den``.  Fractions appear only at the boundary:
+``allocate`` and the four public rule functions scale their Fraction inputs
+by ``lcm`` of the denominators and turn the integer awards back into
+Fractions.  ``allocate`` is the one serve-in-full-or-ration step behind every
+game and the mechanism; the truthfulness check scales its report grids once
+and calls ``ration`` directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Hashable, Iterable, Sequence
 
 from .games import CharacteristicGame
@@ -73,88 +82,123 @@ class BankruptcyProblem:
 
 def constrained_equal_awards(estate: Fraction, claims: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """award_i = min(claim_i, level) with the level chosen to exhaust the estate."""
-    level = _water_level_up(estate, claims)
-    return tuple(min(d, level) for d in claims)
+    return _in_units(_cea, estate, claims)
 
 
 def constrained_equal_losses(estate: Fraction, claims: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """award_i = max(claim_i - loss, 0) with the loss chosen to exhaust the estate."""
-    loss = _water_level_down(estate, claims)
-    return tuple(max(d - loss, ZERO) for d in claims)
+    return _in_units(_cel, estate, claims)
 
 
 def proportional(estate: Fraction, claims: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    total = sum(claims, ZERO)
-    if total == 0:
-        return tuple(ZERO for _ in claims)  # estate is 0 by the problem invariant
-    return tuple(estate * d / total for d in claims)
+    return _in_units(_prop, estate, claims)
 
 
 def talmud(estate: Fraction, claims: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Half-claims CEA below the halfway estate, half-claims CEL above it."""
-    halves = [d / 2 for d in claims]
-    half_total = sum(halves, ZERO)
-    if estate <= half_total:
-        return constrained_equal_awards(estate, halves)
-    rest = constrained_equal_losses(estate - half_total, halves)
-    return tuple(h + a for h, a in zip(halves, rest))
+    return _in_units(_tal, estate, claims)
 
 
-def _water_level_up(estate: Fraction, claims: Sequence[Fraction]) -> Fraction:
-    """Least level with sum_i min(claim_i, level) = estate."""
-    filled = ZERO
+def _cea(cap: int, claims: Sequence[int]) -> tuple[list[int], int]:
+    """Least level with sum_i min(claim_i, level) = cap, walked over the
+    sorted claims; the level is ``previous*active + cap - filled`` over
+    ``active``."""
+    filled = 0
     active = len(claims)
-    previous = ZERO
+    previous = 0
     for breakpoint in sorted(claims):
         step = breakpoint - previous
-        if filled + step * active >= estate:
-            return previous + (estate - filled) / active
+        if filled + step * active >= cap:
+            break
         filled += step * active
         previous = breakpoint
         active -= 1
-    # claims sum >= estate, so the estate is always exhausted by now
-    return previous
+    else:
+        return list(claims), 1  # the cap covers every claim
+    level = previous * active + cap - filled
+    return [min(d * active, level) for d in claims], active
 
 
-def _water_level_down(estate: Fraction, claims: Sequence[Fraction]) -> Fraction:
-    """Least loss with sum_i max(claim_i - loss, 0) = estate."""
-    total = sum(claims, ZERO)
-    shortfall = total - estate
+def _cel(cap: int, claims: Sequence[int]) -> tuple[list[int], int]:
+    """Least loss with sum_i max(claim_i - loss, 0) = cap; the loss is
+    ``previous*remaining + shortfall - lost`` over ``remaining``."""
+    shortfall = sum(claims) - cap
     if shortfall <= 0:
-        return ZERO
-    lost = ZERO
-    previous = ZERO
+        return list(claims), 1
+    lost = 0
+    previous = 0
     remaining = len(claims)
     for breakpoint in sorted(claims):
         step = breakpoint - previous
         if lost + step * remaining >= shortfall:
-            return previous + (shortfall - lost) / remaining
+            break
         lost += step * remaining
         previous = breakpoint
         remaining -= 1
-    return previous
+    loss = previous * remaining + shortfall - lost
+    return [max(d * remaining - loss, 0) for d in claims], remaining
+
+
+def _prop(cap: int, claims: Sequence[int]) -> tuple[list[int], int]:
+    total = sum(claims)
+    if total == 0:
+        return [0] * len(claims), 1  # the cap is 0 by the problem invariant
+    return [cap * d for d in claims], total
+
+
+def _tal(cap: int, claims: Sequence[int]) -> tuple[list[int], int]:
+    """In half units the half-claims are the claims and the cap is ``2*cap``:
+    CEA up to the halfway cap, the half-claims plus CEL on the rest above it."""
+    total = sum(claims)
+    if 2 * cap <= total:
+        nums, den = _cea(2 * cap, claims)
+    else:
+        rest, den = _cel(2 * cap - total, claims)
+        nums = [d * den + r for d, r in zip(claims, rest)]
+    return nums, 2 * den
 
 
 _RULE_FUNCTIONS = {
-    CEA: constrained_equal_awards,
-    CEL: constrained_equal_losses,
-    PROP: proportional,
-    TAL: talmud,
+    CEA: _cea,
+    CEL: _cel,
+    PROP: _prop,
+    TAL: _tal,
 }
+
+
+def ration(rule: str, claims: Sequence[int], cap: int) -> tuple[Sequence[int], int]:
+    """Serve integer claims in full when they fit under the integer cap, else
+    ration the cap by ``rule`` (one of ``RULES``); award i is ``nums[i] / den``
+    in the claims' unit.  Rationed awards always exhaust the cap: ``sum(nums)
+    == cap*den``, an explicit check that also runs under ``python -O``."""
+    if sum(claims) <= cap:
+        return claims, 1
+    nums, den = _RULE_FUNCTIONS[rule](cap, claims)
+    if sum(nums) != cap * den:
+        raise RuntimeError(
+            f"{rule} awards sum to {Fraction(sum(nums), den)} and do not exhaust "
+            f"the cap {cap}")
+    return nums, den
+
+
+def _in_units(kernel, estate: Fraction, claims: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Run an integer kernel on a Fraction estate and claims scaled by ``lcm``
+    of their denominators; the only place where rationing meets Fractions.
+    An award equal to its claim is the claim object itself, and equal awards
+    are one object, so the revenue memo, which keeps the permit quantities it
+    is asked about, holds no duplicates."""
+    scale = lcm(estate.denominator, *(d.denominator for d in claims))
+    units = [d.numerator * (scale // d.denominator) for d in claims]
+    nums, den = kernel(estate.numerator * (scale // estate.denominator), units)
+    shared = {a: Fraction(a, den * scale) for u, a in zip(units, nums) if a != u * den}
+    return tuple(shared.get(a, d) for d, a in zip(claims, nums))
 
 
 def allocate(rule: str, claims: Sequence[Fraction], cap: Fraction) -> tuple[Fraction, ...]:
     """Serve the claims in full when they fit under the cap, else ration the
     cap by the rule; rationed awards always exhaust the cap."""
-    rationing = _RULE_FUNCTIONS[check_rule(rule)]
-    claims = tuple(claims)
-    if sum(claims, ZERO) <= cap:
-        return claims
-    awards = rationing(cap, claims)
-    if sum(awards, ZERO) != cap:
-        raise RuntimeError(
-            f"{rule} awards sum to {sum(awards, ZERO)} and do not exhaust the cap {cap}")
-    return awards
+    rule = check_rule(rule)
+    return _in_units(lambda units_cap, units: ration(rule, units, units_cap), cap, claims)
 
 
 def apply_rule(rule: str, problem: BankruptcyProblem) -> tuple[Fraction, ...]:

@@ -320,31 +320,34 @@ def _cmd_mechanism(scenario, args):
     return report, 0 if dom.truthful_dominant else 1
 
 
-def _parse_vector(text: str, what: str) -> tuple[Fraction, ...]:
+def _parse_number(text: str, what: str) -> Fraction:
     try:
-        return tuple(as_fraction(part.strip()) for part in text.split(","))
+        return as_fraction(text.strip())
     except LpStructureError as exc:
         raise ScenarioError(f"{what}: {exc}") from None
+
+
+def _parse_vector(text: str, what: str) -> tuple[Fraction, ...]:
+    return tuple(_parse_number(part, what) for part in text.split(","))
 
 
 def _cmd_trade(scenario, args):
     sit = scenario.situation
     precision = _precision(scenario, args)
+    target = _parse_vector(args.target, "--target") if args.target else None
+    price = _parse_number(args.price, "--price") if args.price else None
     pipeline = stable_pipeline(sit, scenario.rule, limit=_limit(scenario, args))
     if not (pipeline.scarce and pipeline.claims_exceed_cap):
         raise ScenarioError(
             "trading analysis needs a rationed cap: both the grand demand and "
             "the individual claims must exceed it")
     split = pipeline.permit_split
-    if args.target:
-        target = _parse_vector(args.target, "--target")
-    else:
+    if target is None:
         if pipeline.money is None:
             raise ScenarioError(
                 "no default target: the pipeline produced no priced allocation; "
                 "pass --target explicitly")
         target = pipeline.money.money
-    price = as_fraction(args.price) if args.price else None
     ledger = trade_ledger(sit, split, target, price=price)
     report = Report()
     if not ledger.feasible:

@@ -7,9 +7,12 @@ in full under the cap or rations them by the announced rule.  A block's
 payoff is its best profit from its own endowment at the allocated quantity,
 tax included.  Truthfulness checks run exhaustively over finite report grids,
 so they are desk-scale verifications rather than proofs over a continuum.
-``dominance_check`` rations each grid profile at most once, however many
-claimants read it, and values each claimant's award at most once per check;
-``cells_checked`` still counts every (claimant, opponents, deviation) cell.
+``dominance_check`` scales the report grids and the cap once per call to
+integers over one common denominator and rations each grid profile at most
+once, however many claimants read it, with the integer kernel
+``bankruptcy.ration``; it values each claimant's award at most once per
+check.  ``cells_checked`` still counts every (claimant, opponents,
+deviation) cell.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import bankruptcy
-from .bankruptcy import allocate
+from .bankruptcy import allocate, ration
 from .lp import as_fraction
 from .partitions import Partition, singleton_partition
 from .production import Situation, coalition_value, optimal_demand
@@ -130,53 +133,71 @@ def dominance_check(sit: Situation, cfg: MechanismConfig,
     Exhaustive over the grid product; the first counterexample in claimant /
     opponent / deviation order is returned.  ``cells_checked`` counts the
     (claimant, opponent profile, deviation) cells visited, the truthful cell
-    included.  The walk runs over grid indices: each report profile is
-    rationed at most once, on first touch, and every claimant's payoff is
-    read from that one ``allocate`` result; each claimant's payoff at an
-    award is valued once per check.  Both tables live only for this call.
+    included.  The grids and the cap are scaled once to integers over ``lcm``
+    of their denominators.  Each report profile, at its position in the grid
+    product, is rationed at most once, on first touch, by ``ration`` in those
+    units, and every claimant reads its award from that one (numerators,
+    denominator) result.  Each claimant's award is valued once per check,
+    keyed on its reduced numerator and denominator; payoffs are kept as
+    (numerator, denominator) and compared by cross-multiplication.  Both
+    tables live only for this call; Fractions are built only to value an
+    award and for the counterexample.
     """
     k = cfg.claimants
-    cells = k * math.prod(len(g) for g in cfg.grids)
+    sizes = [len(g) for g in cfg.grids]
+    cells = k * math.prod(sizes)
     if cells > cell_limit:
         raise GridSizeError(
             f"{cells} payoff cells exceed the limit of {cell_limit}")
-    awards_at: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-    values: list[dict[Fraction, Fraction]] = [{} for _ in range(k)]
+    scale = math.lcm(sit.cap.denominator,
+                     *(v.denominator for g in cfg.grids for v in g))
+    cap = sit.cap.numerator * (scale // sit.cap.denominator)
+    units = [tuple(v.numerator * (scale // v.denominator) for v in g) for g in cfg.grids]
+    # A profile's grid indices x_j sit at position sum_j x_j * strides[j].
+    strides = [math.prod(sizes[j + 1:]) for j in range(k)]
+    awards_at: list[Optional[tuple[tuple[int, ...], int]]] = [None] * math.prod(sizes)
+    values: list[dict[tuple[int, int], tuple[int, int]]] = [{} for _ in range(k)]
 
-    def payoff(index: tuple[int, ...], i: int) -> Fraction:
-        awards = awards_at.get(index)
-        if awards is None:
-            profile = tuple(g[x] for g, x in zip(cfg.grids, index))
-            awards = awards_at[index] = allocate(cfg.rule, profile, sit.cap)
-        value = values[i].get(awards[i])
+    def payoff(at: int, i: int) -> tuple[int, int]:
+        rationed = awards_at[at]
+        if rationed is None:
+            profile = [u[at // s % len(u)] for u, s in zip(units, strides)]
+            nums, den = ration(cfg.rule, profile, cap)
+            rationed = awards_at[at] = (tuple(nums), den)
+        nums, den = rationed
+        award = nums[i]
+        common = math.gcd(award, den)
+        key = (award // common, den // common)
+        value = values[i].get(key)
         if value is None:
-            value = values[i][awards[i]] = coalition_value(
-                sit, cfg.structure[i], awards[i])
+            value = coalition_value(sit, cfg.structure[i], Fraction(award, den * scale))
+            value = values[i][key] = (value.numerator, value.denominator)
         return value
 
     checked = 0
     for i in range(k):
         truth = cfg.grids[i].index(cfg.true_demands[i])  # on every grid, by make_config
-        ranges = [range(len(g)) for g in cfg.grids]
-        ranges[i] = (truth,)
+        ranges = [range(0, n * s, s) for n, s in zip(sizes, strides)]
+        ranges[i] = (truth * strides[i],)
+        shifts = [(d - truth) * strides[i] for d in range(sizes[i])]
         for base in itertools.product(*ranges):
-            truthful = payoff(base, i)
-            index = list(base)
-            for d, deviation in enumerate(cfg.grids[i]):
+            at = sum(base)
+            truthful, truthful_den = payoff(at, i)
+            for d, shift in enumerate(shifts):
                 checked += 1
                 if d == truth:
                     continue  # the truthful payoff, computed above
-                index[i] = d
-                deviant = payoff(tuple(index), i)
-                if deviant > truthful:
+                deviant, deviant_den = payoff(at + shift, i)
+                if deviant * truthful_den > truthful * deviant_den:
                     return DominanceReport(
                         truthful_dominant=False, cells_checked=checked,
                         counterexample=Deviation(
                             claimant=i,
                             opponent_reports=tuple(
-                                g[x] for g, x in zip(cfg.grids, base)),
-                            deviation=deviation, truthful_payoff=truthful,
-                            deviant_payoff=deviant))
+                                g[x // s] for g, x, s in zip(cfg.grids, base, strides)),
+                            deviation=cfg.grids[i][d],
+                            truthful_payoff=Fraction(truthful, truthful_den),
+                            deviant_payoff=Fraction(deviant, deviant_den)))
     return DominanceReport(truthful_dominant=True, cells_checked=checked)
 
 

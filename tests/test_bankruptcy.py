@@ -16,6 +16,8 @@ from permit_games.bankruptcy import (
     bankruptcy_game,
     constrained_equal_awards,
     constrained_equal_losses,
+    proportional,
+    ration,
     talmud,
 )
 from permit_games.partition_games import build_game
@@ -69,7 +71,7 @@ def test_allocate_checks_the_rule_even_when_claims_fit():
 
 def test_non_exhausting_rule_is_an_internal_fault(monkeypatch, example3):
     monkeypatch.setitem(
-        bankruptcy._RULE_FUNCTIONS, "cea", lambda cap, claims: tuple(d / 2 for d in claims))
+        bankruptcy._RULE_FUNCTIONS, "cea", lambda cap, claims: (list(claims), 2))
     with pytest.raises(RuntimeError, match="exhaust"):
         allocate("cea", [F(20), F(20), F(25)], F(50))
     with pytest.raises(RuntimeError, match="exhaust"):
@@ -173,3 +175,133 @@ def test_cel_loss_level_oracle():
             for d, a in zip(prob.claims, awards):
                 if a == 0:
                     assert d <= loss
+
+
+# The Fraction rules as they were before rationing moved to integer units,
+# kept as an independent oracle for the integer kernels.
+
+def _water_level_up(estate, claims):
+    """Least level with sum_i min(claim_i, level) = estate."""
+    filled = F(0)
+    active = len(claims)
+    previous = F(0)
+    for breakpoint in sorted(claims):
+        step = breakpoint - previous
+        if filled + step * active >= estate:
+            return previous + (estate - filled) / active
+        filled += step * active
+        previous = breakpoint
+        active -= 1
+    return previous
+
+
+def _water_level_down(estate, claims):
+    """Least loss with sum_i max(claim_i - loss, 0) = estate."""
+    total = sum(claims, F(0))
+    shortfall = total - estate
+    if shortfall <= 0:
+        return F(0)
+    lost = F(0)
+    previous = F(0)
+    remaining = len(claims)
+    for breakpoint in sorted(claims):
+        step = breakpoint - previous
+        if lost + step * remaining >= shortfall:
+            return previous + (shortfall - lost) / remaining
+        lost += step * remaining
+        previous = breakpoint
+        remaining -= 1
+    return previous
+
+
+def _oracle_cea(estate, claims):
+    level = _water_level_up(estate, claims)
+    return tuple(min(d, level) for d in claims)
+
+
+def _oracle_cel(estate, claims):
+    loss = _water_level_down(estate, claims)
+    return tuple(max(d - loss, F(0)) for d in claims)
+
+
+def _oracle_prop(estate, claims):
+    total = sum(claims, F(0))
+    if total == 0:
+        return tuple(F(0) for _ in claims)
+    return tuple(estate * d / total for d in claims)
+
+
+def _oracle_tal(estate, claims):
+    halves = [d / 2 for d in claims]
+    half_total = sum(halves, F(0))
+    if estate <= half_total:
+        return _oracle_cea(estate, halves)
+    rest = _oracle_cel(estate - half_total, halves)
+    return tuple(h + a for h, a in zip(halves, rest))
+
+
+ORACLES = {"cea": _oracle_cea, "cel": _oracle_cel, "prop": _oracle_prop, "tal": _oracle_tal}
+PUBLIC = {"cea": constrained_equal_awards, "cel": constrained_equal_losses,
+          "prop": proportional, "tal": talmud}
+
+
+def _oracle_allocate(rule, claims, cap):
+    if sum(claims, F(0)) <= cap:
+        return tuple(claims)
+    return ORACLES[rule](cap, claims)
+
+
+def _edge_problems():
+    """(claims, cap): equal claims, zero claims, caps on the breakpoints of
+    the claims 2, 5, 9 for every rule, and caps equal to the claims' sum."""
+    claims = [F(2), F(5), F(9)]
+    return [
+        ([F(5)] * 3, F(7)), ([F(7, 2)] * 4, F(13, 3)),
+        ([F(0), F(3), F(0), F(4)], F(5)), ([F(0)] * 3, F(0)), ([F(0), F(6)], F(0)),
+        (claims, F(6)), (claims, F(12)),  # CEA levels 2 and 5
+        (claims, F(10)), (claims, F(4)),  # CEL losses 2 and 5
+        (claims, F(3)), (claims, F(8)), (claims, F(13)),  # TAL kinks, halfway at 8
+        (claims, F(16)), ([F(1, 3), F(1, 2)], F(5, 6)), ([F(4)], F(4)),
+    ]
+
+
+def _random_problems(rng, count):
+    problems = []
+    for _ in range(count):
+        claims = [F(rng.randint(0, 24), rng.choice((1, 1, 2, 3, 4, 6)))
+                  for _ in range(rng.randint(1, 6))]
+        total = sum(claims, F(0))
+        cap = total * F(rng.randint(0, 12), rng.choice((10, 12))) if total else F(0)
+        if rng.random() < 0.2:  # land the cap on a claim breakpoint
+            level = rng.choice(claims)
+            cap = sum((min(d, level) for d in claims), F(0))
+        problems.append((claims, cap))
+    return problems
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_integer_kernel_matches_the_fraction_oracle(rule):
+    rng = random.Random(4100 + RULES.index(rule))
+    problems = _edge_problems() + _random_problems(rng, 240)
+    rationed = 0
+    for claims, cap in problems:
+        expected = _oracle_allocate(rule, claims, cap)
+        assert allocate(rule, claims, cap) == expected, (claims, cap)
+        if sum(claims) >= cap:
+            assert PUBLIC[rule](cap, claims) == ORACLES[rule](cap, claims), (claims, cap)
+        rationed += sum(claims) > cap
+    assert len(problems) >= 200 and rationed >= 150
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_integer_kernel_properties(rule):
+    rng = random.Random(4200 + RULES.index(rule))
+    for _ in range(200):
+        claims = [rng.randint(0, 30) for _ in range(rng.randint(1, 6))]
+        cap = rng.randint(0, sum(claims) + 5)
+        nums, den = ration(rule, claims, cap)
+        if sum(claims) <= cap:
+            assert (list(nums), den) == (claims, 1)
+            continue
+        assert den > 0 and sum(nums) == cap * den
+        assert all(0 <= a <= d * den for a, d in zip(nums, claims))

@@ -274,17 +274,17 @@ def test_dominance_check_matches_the_per_cell_oracle(rule):
 def _count_work(monkeypatch):
     allocations = []
     valuations = collections.Counter()
-    real_allocate, real_value = mechanism.allocate, mechanism.coalition_value
+    real_ration, real_value = mechanism.ration, mechanism.coalition_value
 
-    def counting_allocate(rule, claims, cap):
+    def counting_ration(rule, claims, cap):
         allocations.append(tuple(claims))
-        return real_allocate(rule, claims, cap)
+        return real_ration(rule, claims, cap)
 
     def counting_value(sit, members, permits):
         valuations[frozenset(members), permits] += 1
         return real_value(sit, members, permits)
 
-    monkeypatch.setattr(mechanism, "allocate", counting_allocate)
+    monkeypatch.setattr(mechanism, "ration", counting_ration)
     monkeypatch.setattr(mechanism, "coalition_value", counting_value)
     return allocations, valuations
 
@@ -326,7 +326,7 @@ def test_grid_limit_enforced(monkeypatch, example3):
 
 
 def _halving_cea(cap, claims):
-    return tuple(d / 2 for d in claims)
+    return list(claims), 2
 
 
 def test_non_exhausting_rule_faults_the_mechanism_checks(monkeypatch, example3):

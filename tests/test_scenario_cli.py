@@ -262,6 +262,18 @@ def test_bad_targets_and_grids_exit_two(scenario_path, capsys, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("flag, value", [("--price", "abc"), ("--target", "1,x,3")])
+def test_bad_trade_numbers_name_the_flag_before_the_pipeline(
+        scenario_path, monkeypatch, capsys, flag, value):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the pipeline ran before the flags were parsed")
+
+    monkeypatch.setattr(cli, "stable_pipeline", unreachable)
+    code, out, err = run_cli(capsys, "trade", flag, value, "--scenario", str(scenario_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag}: not an exact number: ") and err.count("\n") == 1
+
+
 def test_negative_grid_in_scenario_options_is_an_input_error(tmp_path):
     with pytest.raises(ScenarioError, match="nonnegative"):
         load_scenario(write_scenario(tmp_path, {**MINIMAL, "options": {"grid": [0, "-1/2"]}}))
@@ -281,7 +293,7 @@ def test_internal_value_error_exits_three(scenario_path, monkeypatch, capsys):
 def test_internal_fault_exits_three(monkeypatch, capsys):
     fixture = Path(cli.__file__).with_name("fixtures") / "example3.json"
     monkeypatch.setitem(
-        bankruptcy._RULE_FUNCTIONS, "cea", lambda cap, claims: tuple(d / 2 for d in claims))
+        bankruptcy._RULE_FUNCTIONS, "cea", lambda cap, claims: (list(claims), 2))
     code, out, err = run_cli(capsys, "game", "--scenario", str(fixture))
     assert code == 3
     assert out == ""
