@@ -8,8 +8,6 @@ is deterministic and yields exactly the Bell number of partitions.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 Partition = tuple[tuple[int, ...], ...]
 
 DEFAULT_LIMIT = 10
@@ -39,11 +37,6 @@ def enumerate_partitions(n: int, limit: int = DEFAULT_LIMIT) -> tuple[Partition,
             f"partitions of {n} elements ({bell_number(n)} of them) exceed the "
             f"configured limit of {limit} elements; raise the limit explicitly "
             "if you really want the exhaustive sweep")
-    return _partitions(n)
-
-
-@lru_cache(maxsize=None)
-def _partitions(n: int) -> tuple[Partition, ...]:
     out: list[Partition] = []
     labels = [0] * n
 

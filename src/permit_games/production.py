@@ -3,14 +3,15 @@
 A situation bundles the shared technology matrix (last row = permits consumed
 per unit of each good), per-firm resource endowments, market prices, the
 per-permit tax and the emission cap.  Coalitions pool endowments; their
-optimal profits and permit demands come from small exact LPs.
+optimal profits and permit demands come from small exact LPs, which each
+situation memoises on itself (not a field), so they are freed with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable
 
 from .lp import LE, EQ, LpSolution, as_fraction, linear_program, solve
@@ -123,6 +124,11 @@ class Situation:
             raise SituationError(f"unknown firm in coalition {sorted(fs)}")
         return fs
 
+    @cached_property
+    def _memo(self) -> dict:
+        """LP results: revenues keyed (coalition, permits), demands by coalition."""
+        return {}
+
 
 def _revenue_program(sit: Situation, fs: frozenset[int], permits: Fraction):
     stocks = sit.coalition_endowment(fs)
@@ -131,28 +137,25 @@ def _revenue_program(sit: Situation, fs: frozenset[int], permits: Fraction):
     return linear_program(sit.prices, constraints)
 
 
-@lru_cache(maxsize=None)
-def _revenue(sit: Situation, fs: frozenset[int], permits: Fraction) -> Fraction:
-    sol = solve(_revenue_program(sit, fs, permits))
-    if sol.status != "optimal":  # permits row is positive, so always bounded
-        raise RuntimeError(f"revenue program unexpectedly {sol.status}")
-    return sol.objective_value
-
-
 def production_revenue(sit: Situation, members: Iterable[int], permits) -> Fraction:
     """Best sales revenue of the coalition when holding ``permits``, before tax."""
     z = as_fraction(permits)
     if z < 0:
         raise SituationError(f"permit quantity must be nonnegative (got {z})")
-    return _revenue(sit, sit.coalition(members), z)
+    key = (sit.coalition(members), z)
+    revenue = sit._memo.get(key)
+    if revenue is None:
+        sol = solve(_revenue_program(sit, *key))
+        if sol.status != "optimal":  # permits row is positive, so always bounded
+            raise RuntimeError(f"revenue program unexpectedly {sol.status}")
+        revenue = sit._memo[key] = sol.objective_value
+    return revenue
 
 
 def coalition_value(sit: Situation, members: Iterable[int], permits) -> Fraction:
     """Best profit of the coalition with a fixed permit quantity, tax included."""
     z = as_fraction(permits)
-    if z < 0:
-        raise SituationError(f"permit quantity must be nonnegative (got {z})")
-    return _revenue(sit, sit.coalition(members), z) - sit.tax * z
+    return production_revenue(sit, members, z) - sit.tax * z
 
 
 def grand_coalition_dual(sit: Situation) -> LpSolution:
@@ -164,7 +167,6 @@ def grand_coalition_dual(sit: Situation) -> LpSolution:
     return solve(_revenue_program(sit, sit.coalition(sit.firms()), sit.cap))
 
 
-@lru_cache(maxsize=None)
 def _demand(sit: Situation, fs: frozenset[int]) -> Fraction:
     stocks = sit.coalition_endowment(fs)
     g = sit.n_goods
@@ -188,4 +190,8 @@ def _demand(sit: Situation, fs: frozenset[int]) -> Fraction:
 
 def optimal_demand(sit: Situation, members: Iterable[int]) -> Fraction:
     """Least permit quantity at which the coalition's profit peaks."""
-    return _demand(sit, sit.coalition(members))
+    fs = sit.coalition(members)
+    demand = sit._memo.get(fs)
+    if demand is None:
+        demand = sit._memo[fs] = _demand(sit, fs)
+    return demand

@@ -200,7 +200,6 @@ def owen_allocation(sit: Situation, permit_split: Sequence) -> MoneyAllocation:
 @dataclass
 class PipelineReport:
     rule: str
-    demands: dict[frozenset[int], Fraction]
     individual_demands: tuple[Fraction, ...]
     grand_demand: Fraction
     cap: Fraction
@@ -225,15 +224,14 @@ def stable_pipeline(sit: Situation, rule: str, limit: int = DEFAULT_LIMIT) -> Pi
     rule = bankruptcy.check_rule(rule)
     firms = sit.firms()
     n = len(firms)
-    demands = {fs: optimal_demand(sit, fs) for fs in lex_coalitions(firms)}
-    individual = tuple(demands[frozenset({i})] for i in firms)
-    grand_demand = demands[frozenset(firms)]
+    individual = tuple(optimal_demand(sit, [i]) for i in firms)
+    grand_demand = optimal_demand(sit, firms)
     scarce = grand_demand > sit.cap
     claims_exceed = sum(individual, ZERO) > sit.cap
     split = bankruptcy.allocate(rule, individual, sit.cap)
 
     report = PipelineReport(
-        rule=rule, demands=demands, individual_demands=individual,
+        rule=rule, individual_demands=individual,
         grand_demand=grand_demand, cap=sit.cap, scarce=scarce,
         claims_exceed_cap=claims_exceed, permit_split=split)
 
