@@ -185,8 +185,9 @@ def _in_units(kernel, estate: Fraction, claims: Sequence[Fraction]) -> tuple[Fra
     """Run an integer kernel on a Fraction estate and claims scaled by ``lcm``
     of their denominators; the only place where rationing meets Fractions.
     An award equal to its claim is the claim object itself, and equal awards
-    are one object, so the revenue memo, which keeps the permit quantities it
-    is asked about, holds no duplicates."""
+    are one object, because callers keep the awards they get: a game table
+    holds one per payoff cell, and the economy's revenue memo keys on them
+    for as long as the economy lives."""
     scale = lcm(estate.denominator, *(d.denominator for d in claims))
     units = [d.numerator * (scale // d.denominator) for d in claims]
     nums, den = kernel(estate.numerator * (scale // estate.denominator), units)

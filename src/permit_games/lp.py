@@ -58,10 +58,11 @@ class LpStructureError(ValueError):
 
 
 def as_fraction(x) -> Fraction:
-    """Convert an exact numeric literal (int, Fraction, 'p/q' or decimal string)."""
+    """Convert an exact numeric literal (int, Fraction, 'p/q' or decimal string).
+    A bool is refused: it is an int to Python but never a number in a scenario."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:

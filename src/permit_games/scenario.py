@@ -98,12 +98,12 @@ def _options_from_dict(raw) -> ScenarioOptions:
     options = ScenarioOptions()
     if "precision" in raw:
         precision = raw["precision"]
-        if not isinstance(precision, int) or precision < 0:
+        if not isinstance(precision, int) or isinstance(precision, bool) or precision < 0:
             raise ScenarioError("options.precision: expected a nonnegative integer")
         options = replace(options, precision=precision)
     if "partition_limit" in raw:
         limit = raw["partition_limit"]
-        if not isinstance(limit, int) or limit < 1:
+        if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
             raise ScenarioError("options.partition_limit: expected a positive integer")
         options = replace(options, partition_limit=limit)
     if "grid" in raw and raw["grid"] is not None:
@@ -180,4 +180,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def dump_scenario(scenario: Scenario, path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
+    path = Path(path)
+    try:
+        path.write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {path}: {exc}") from None

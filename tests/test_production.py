@@ -1,10 +1,15 @@
 """Coalition values and optimal permit demands, pinned against hand arithmetic."""
 
+import dataclasses
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from permit_games import production
+from permit_games.partition_games import build_game
 from permit_games.production import (
     Situation,
     SituationError,
@@ -136,3 +141,39 @@ def test_demands_are_not_superadditive():
 def test_revenue_excludes_tax(example3):
     assert production_revenue(example3, [1, 2, 3], 50) == 3000
     assert production_revenue(example3, [1], 10) == 600
+
+
+def _reference_economy(tax=14):
+    return Situation.create(
+        production=[[2, 3], [3, 2], [1, 1]], endowments=[[40, 60, 80], [60, 40, 50]],
+        prices=[50, 60], tax=tax, cap=50)
+
+
+def test_lp_memo_is_freed_with_its_economy():
+    sit = _reference_economy()
+    build_game(sit, "cea")
+    ref = weakref.ref(sit)
+    del sit
+    gc.collect()
+    assert ref() is None
+
+
+def test_second_tabulation_solves_no_lp(monkeypatch):
+    sit = _reference_economy()
+    first = build_game(sit, "cea")
+    solved = []
+    real_solve = production.solve
+    monkeypatch.setattr(
+        production, "solve", lambda program: solved.append(program) or real_solve(program))
+    assert build_game(sit, "cea").values == first.values
+    assert solved == []
+
+
+def test_replaced_economy_starts_a_fresh_memo():
+    sit = _reference_economy()
+    grand = sit.firms()
+    before = optimal_demand(sit, grand)
+    changed = dataclasses.replace(sit, tax=F(30))
+    fresh = _reference_economy(tax=30)
+    assert optimal_demand(changed, grand) == optimal_demand(fresh, grand) == 60 != before
+    assert changed == fresh and hash(changed) == hash(fresh) and repr(changed) == repr(fresh)

@@ -251,6 +251,29 @@ def test_input_errors_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("change, field", [
+    ({"cap": True}, "cap"),
+    ({"tax": True}, "tax"),
+    ({"production": [[2, 3], [3, True], [1, 1]]}, "production[1][1]"),
+    ({"options": {"grid": [0, True]}}, "grid[1]"),
+    ({"options": {"precision": True}}, "options.precision"),
+    ({"options": {"partition_limit": True}}, "options.partition_limit"),
+])
+def test_json_booleans_are_not_numbers(tmp_path, capsys, change, field):
+    path = write_scenario(tmp_path, {**MINIMAL, **change})
+    code, out, err = run_cli(capsys, "pipeline", "--scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+
+
+def test_dump_scenario_to_an_unwritable_path_exits_two(scenario_path, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(
+        capsys, "demands", "--scenario", str(scenario_path), "--dump-scenario", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (["trade", "--target", "1,2"], "split and target must have one entry per firm"),
     (["trade", "--target", "1,2,3"], "target is not efficient"),
