@@ -59,7 +59,7 @@ class LpStructureError(ValueError):
 
 def as_fraction(x) -> Fraction:
     """Convert an exact numeric literal (int, Fraction, 'p/q' or decimal string).
-    A bool is refused: it is an int to Python but never a number in a scenario."""
+    A bool is refused, although Python counts it as an int."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
