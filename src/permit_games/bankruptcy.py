@@ -186,8 +186,7 @@ def _in_units(kernel, estate: Fraction, claims: Sequence[Fraction]) -> tuple[Fra
     of their denominators; the only place where rationing meets Fractions.
     An award equal to its claim is the claim object itself, and equal awards
     are one object, because callers keep the awards they get: a game table
-    holds one per payoff cell, and the economy's revenue memo keys on them
-    for as long as the economy lives."""
+    holds one per payoff cell."""
     scale = lcm(estate.denominator, *(d.denominator for d in claims))
     units = [d.numerator * (scale // d.denominator) for d in claims]
     nums, den = kernel(estate.numerator * (scale // estate.denominator), units)

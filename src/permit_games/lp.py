@@ -28,11 +28,16 @@ Every optimum is certified before it is returned: primal feasibility,
 complementary slackness, strong duality and dual feasibility, the last
 recomputed from the standard-form rows rather than read off the tableau.
 A failed check raises RuntimeError, also under ``python -O``.
+
+``sweep`` continues from an optimum's final basis and walks one row's
+right-hand side down to 0 by dual simplex pivots (parametric programming,
+Gal 1979), so the optimum as a function of that right-hand side comes out
+as exact segments, each certified like an optimum at both of its ends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
@@ -132,13 +137,15 @@ class LpSolution:
     ``dual`` carries one multiplier per constraint, with signs fixed so that
     for a maximization a <=-row has a nonnegative multiplier and a >=-row a
     nonpositive one.  At an optimum the pair (primal, dual) satisfies
-    complementary slackness exactly.
+    complementary slackness exactly.  ``basis`` holds the final basic column
+    of each standard-form row, for ``sweep`` to continue from.
     """
 
     status: str
     objective_value: Optional[Fraction] = None
     primal: Optional[tuple[Fraction, ...]] = None
     dual: Optional[tuple[Fraction, ...]] = None
+    basis: Optional[tuple[int, ...]] = field(default=None, repr=False, compare=False)
 
 
 class _StdRow(NamedTuple):
@@ -231,9 +238,145 @@ def solve(lp: LinearProgram) -> LpSolution:
         objective_value=objective_value,
         primal=tuple(primal),
         dual=dual,
+        basis=tuple(basis),
     )
-    _self_check(lp, solution, work, obj, obj_den, y, red_den)
+    xs, x_den = _integer_row(solution.primal)
+    _self_check(work, obj, obj_den, y, red_den,
+                [([row.rhs for row in work], 1, xs, x_den, objective_value)])
     return solution
+
+
+class Segment(NamedTuple):
+    """The optimum is ``value + slope * (z - lo)`` for the swept right-hand
+    side z in [lo, hi]; ``slope`` is the swept row's dual on the segment."""
+
+    lo: Fraction
+    hi: Fraction
+    value: Fraction
+    slope: Fraction
+
+
+def sweep(lp: LinearProgram, solution: LpSolution, k: int) -> list[Segment]:
+    """The optimum of ``lp`` as its row ``k``'s right-hand side z falls from
+    its value in ``lp`` to 0: segments of positive length in increasing z.
+
+    Every row must be ``<=`` with a nonnegative right-hand side, so the
+    origin stays feasible down to z = 0, row k's must be positive, and
+    ``solution`` must be the optimum that ``solve`` returned for ``lp``.
+    Row k must be slack there, so the top segment has slope 0 and holds for
+    every z above its lower end too.
+
+    The walk starts from ``solution``'s basis.  Row i of the tableau keeps
+    its right-hand side at the top value t, so its basic variable at z is
+    rhs_i - (t - z) beta_i, where beta is the column of row k's slack; the
+    next breakpoint is t - rhs_i / beta_i, least over beta_i > 0, and one
+    dual simplex pivot crosses it.  Ties follow Bland: the least basic
+    index leaves, the least column enters.  Each segment is certified at
+    both ends before it is kept; a failure raises RuntimeError.
+    """
+    n, m = lp.n_vars, lp.n_rows
+    if (any(sense != LE for sense in lp.senses) or any(b < 0 for b in lp.rhs)
+            or lp.rhs[k] <= 0):
+        raise ValueError("sweep needs <= rows, nonnegative right-hand sides and a "
+                         "positive one on the swept row")
+    work = [_std_row(*row) for row in zip(lp.rows, lp.rhs, lp.senses)]
+    cost, cost_den = _integer_row(lp.objective)
+    # Slack-basis tableau with the reduced costs as row m, so that every
+    # pivot updates them; then pivot in the solution's basic columns.
+    rhs = n + m
+    rows = []
+    for i, row in enumerate(work):
+        rows.append(row.structural + [0] * m + [row.rhs])
+        rows[i][n + i] = row.den
+    rows.append(cost + [0] * (m + 1))
+    dens = [row.den for row in work] + [cost_den]
+    basis = list(range(n, rhs))
+    final = set(solution.basis)
+    for col in solution.basis:
+        if col not in basis:
+            r = next((i for i in range(m) if basis[i] not in final and rows[i][col]), -1)
+            if r < 0:
+                raise RuntimeError("the solution's basis is singular")
+            _pivot(rows, dens, basis, r, col)
+
+    top = lp.rhs[k]
+    slack = n + k
+    red = rows[m]
+    segments: list[Segment] = []
+    hi = top
+    while True:
+        r = -1
+        best_b = best_a = 0
+        for i in range(m):
+            a = rows[i][slack]
+            if a > 0:
+                b = rows[i][rhs]
+                if r < 0 or b * best_a < best_b * a or (
+                        b * best_a == best_b * a and basis[i] < basis[r]):
+                    r, best_b, best_a = i, b, a
+        lo = ZERO if r < 0 else max(ZERO, top - Fraction(best_b, best_a))
+        if lo < hi:
+            segment, dual, ends = _segment(rows, dens, basis, n, k, top, lo, hi)
+            _check_segment(work, cost, cost_den, k, segment, dual, ends)
+            segments.append(segment)
+            hi = lo
+        if lo == 0:
+            break
+        # Dual ratio test: row r's basic variable turns negative below lo.
+        prow = rows[r]
+        col = -1
+        best_d = best_a = 0
+        for j in range(rhs):
+            a = prow[j]
+            if a < 0 and (col < 0 or red[j] * best_a < best_d * a):
+                col, best_d, best_a = j, red[j], a
+        if col < 0:
+            raise RuntimeError(f"no column can enter at {lo}, yet the origin is feasible")
+        _pivot(rows, dens, basis, r, col)
+    if segments[0].slope != 0:
+        raise RuntimeError("the swept row is not slack at the top")
+    segments.reverse()
+    return segments
+
+
+def _segment(rows, dens, basis, n, k, top, lo, hi):
+    """Read the segment [lo, hi] of the current basis off the tableau, with
+    its certificate in integers: the standard-form duals (numerators, den)
+    and the primal at lo and at hi, each as (numerators, den)."""
+    m = len(basis)
+    slack, rhs = n + k, n + m
+    red, red_den = rows[m], dens[m]
+    basic = [(i, col) for i, col in enumerate(basis) if col < n]
+    common = lcm(*(dens[i] for i, _ in basic))
+    deltas = top - lo, top - hi  # row i's basic variable is rhs_i - delta * beta_i
+    ends = []
+    for delta in deltas:
+        dn, dd = delta.numerator, delta.denominator
+        xs = [0] * n
+        for i, col in basic:
+            xs[col] = (rows[i][rhs] * dd - dn * rows[i][slack]) * (common // dens[i])
+        ends.append((xs, common * dd))
+    # The reduced cost of row i's slack is -y_i, and the cost row's
+    # right-hand side is minus the objective at the top.
+    segment = Segment(lo, hi, (deltas[0] * red[slack] - red[rhs]) / red_den,
+                      Fraction(-red[slack], red_den))
+    return segment, ([-red[n + i] for i in range(m)], red_den), ends
+
+
+def _check_segment(work, cost, cost_den, k, segment, dual, ends) -> None:
+    """Certify a segment at both of its ends against the standard-form rows."""
+    y, y_den = dual
+    slope = segment.slope
+    if slope.numerator * y_den != y[k] * slope.denominator:
+        raise RuntimeError("segment slope is not the swept row's dual")
+    values = segment.value, segment.value + slope * (segment.hi - segment.lo)
+    points = []
+    for z, value, (xs, x_den) in zip((segment.lo, segment.hi), values, ends):
+        zn, zd = z.numerator, z.denominator
+        b = [row.rhs * zd for row in work]
+        b[k] = zn * work[k].den
+        points.append((b, zd, xs, x_den, value))
+    _self_check(work, cost, cost_den, y, y_den, points)
 
 
 def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -344,34 +487,19 @@ def _eliminate(row, den, prow, pden, pc, support) -> int:
     return den
 
 
-def _self_check(lp, sol, work, cost, cost_den, y, y_den) -> None:
+def _self_check(work, cost, cost_den, y, y_den, points) -> None:
     """Exact certificate checks; a violation is a solver bug.
 
     ``work`` holds the standard-form rows as built before the first pivot,
     ``cost`` the objective's numerators over ``cost_den`` and ``y`` the
-    standard-form duals (over ``y_den``).  Primal feasibility, complementary
-    slackness and strong duality hold for y = c_B B^-1 at any feasible
-    basis.  Dual feasibility, recomputed here from the rows and not read
-    from the tableau, is what proves the basis optimal.
+    standard-form duals over ``y_den``.  Each point (b, b_den, xs, x_den,
+    value) is a primal xs / x_den that must be optimal, with objective
+    ``value``, when row i's right-hand side is b_i / (den_i * b_den).
+    Primal feasibility, complementary slackness and strong duality hold for
+    y = c_B B^-1 at any feasible basis.  Dual feasibility, recomputed here
+    from the rows and not read from the tableau, is what proves the basis
+    optimal; it does not depend on b, so it is checked once for all points.
     """
-    x = sol.primal
-    xs, x_den = _integer_row(x)
-    for i in range(lp.n_rows):
-        nums, _ = _integer_row([*lp.rows[i], lp.rhs[i]])
-        lhs = sum(a * v for a, v in zip(nums, xs))  # both sides scaled by den * x_den
-        rhs = nums[-1] * x_den
-        sense = lp.senses[i]
-        ok = lhs <= rhs if sense == LE else (lhs >= rhs if sense == GE else lhs == rhs)
-        if not ok:
-            raise RuntimeError(f"simplex returned an infeasible primal (row {i})")
-        if sense != EQ:
-            dual = sol.dual[i]
-            if dual and lhs != rhs:
-                raise RuntimeError(f"complementary slackness violated on row {i}")
-            if (sense == LE and dual < 0) or (sense == GE and dual > 0):
-                raise RuntimeError(f"dual sign violated on row {i}")
-    if any(v < 0 for v in x):
-        raise RuntimeError("simplex returned a negative primal entry")
     # Dual feasibility: c_j - y.A_j <= 0 on every structural and slack column j.
     # Row i is over work[i].den, so weight y_i by L / den_i for a common L.
     common = lcm(*(row.den for row in work))
@@ -384,5 +512,19 @@ def _self_check(lp, sol, work, cost, cost_den, y, y_den) -> None:
     for i, (row, yi) in enumerate(zip(work, y)):
         if (row.sense == LE and yi < 0) or (row.sense == GE and yi > 0):
             raise RuntimeError(f"slack of standard row {i} still improves: not optimal")
-    if Fraction(sum(w * row.rhs for w, row in zip(weights, work)), scale) != sol.objective_value:
-        raise RuntimeError("strong duality failed")
+    for b, b_den, xs, x_den, value in points:
+        for i, (row, bi) in enumerate(zip(work, b)):
+            lhs = sum(a * v for a, v in zip(row.structural, xs)) * b_den
+            rhs = bi * x_den  # both sides over den_i * x_den * b_den
+            sense = row.sense
+            if not (lhs <= rhs if sense == LE else (lhs >= rhs if sense == GE else lhs == rhs)):
+                raise RuntimeError(f"simplex returned an infeasible primal (row {i})")
+            if sense != EQ and y[i] and lhs != rhs:
+                raise RuntimeError(f"complementary slackness violated on row {i}")
+        if any(v < 0 for v in xs):
+            raise RuntimeError("simplex returned a negative primal entry")
+        num, den = value.numerator, value.denominator
+        if sum(w * bi for w, bi in zip(weights, b)) * den != num * scale * b_den:
+            raise RuntimeError("strong duality failed")
+        if sum(c * v for c, v in zip(cost, xs)) * den != num * cost_den * x_den:
+            raise RuntimeError("primal objective differs from the reported value")

@@ -13,6 +13,7 @@ index, so it reads every payoff cell once.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -111,6 +112,15 @@ def resource_witnesses(game: PartitionGame, sense: str) -> dict[frozenset[int], 
     its best (plus) or worst (minus) profit, then the fewest permits."""
     if sense not in (PLUS, MINUS):
         raise ValueError(f"sense must be {PLUS!r} or {MINUS!r}, got {sense!r}")
-    sign = -1 if sense == PLUS else 1
-    return {fs: min(structures, key=lambda p: (sign * game.values[fs, p], game.shares[fs, p]))
-            for fs, structures in game.by_block.items()}
+    better = operator.gt if sense == PLUS else operator.lt
+    values, shares = game.values, game.shares
+    witnesses = {}
+    for fs, structures in game.by_block.items():
+        best = structures[0]
+        best_value, best_share = values[fs, best], shares[fs, best]
+        for p in structures[1:]:
+            value = values[fs, p]
+            if better(value, best_value) or (value == best_value and shares[fs, p] < best_share):
+                best, best_value, best_share = p, value, shares[fs, p]
+        witnesses[fs] = best
+    return witnesses

@@ -2,19 +2,27 @@
 
 A situation bundles the shared technology matrix (last row = permits consumed
 per unit of each good), per-firm resource endowments, market prices, the
-per-permit tax and the emission cap.  Coalitions pool endowments; their
-optimal profits and permit demands come from small exact LPs, which each
-situation memoises on itself (not a field), so they are freed with it.
+per-permit tax and the emission cap.  Coalitions pool endowments.
+
+Everything a coalition S earns comes from one certified revenue curve per
+coalition: R_S(z), its best sales revenue holding z permits, is concave and
+piecewise linear in z.  One exact LP at a permit level where the permit row
+is slack, then ``lp.sweep`` down to z = 0, gives its segments; each is
+certified before it is kept.  A revenue is a bisection and an
+interpolation, and the demand is the least maximiser of R_S(z) - tax * z.
+Each situation memoises its curves on itself (not a field), so they are
+freed with it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .lp import LE, EQ, LpSolution, as_fraction, linear_program, solve
+from .lp import LE, OPTIMAL, LpSolution, Segment, as_fraction, linear_program, solve, sweep
 
 ZERO = Fraction(0)
 
@@ -126,15 +134,34 @@ class Situation:
 
     @cached_property
     def _memo(self) -> dict:
-        """LP results: revenues keyed (coalition, permits), demands by coalition."""
+        """Revenue curves keyed by coalition: segment lower ends and segments."""
         return {}
 
 
-def _revenue_program(sit: Situation, fs: frozenset[int], permits: Fraction):
-    stocks = sit.coalition_endowment(fs)
+def _revenue_program(sit: Situation, stocks: tuple[Fraction, ...], permits: Fraction):
     constraints = [(row, LE, stock) for row, stock in zip(sit.resource_rows, stocks)]
     constraints.append((sit.permit_row, LE, permits))
     return linear_program(sit.prices, constraints)
+
+
+def _curve(sit: Situation, fs: frozenset[int]) -> tuple[list[Fraction], list[Segment]]:
+    """The coalition's certified revenue segments, in increasing permits,
+    with their lower ends; the last one holds for every larger quantity."""
+    curve = sit._memo.get(fs)
+    if curve is None:
+        stocks = sit.coalition_endowment(fs)
+        # No plan makes more of good j than min_t stock_t / a_tj, and some
+        # resource is needed by every good, so the permit row is slack at top.
+        top = 1 + sum(
+            (pi * min(b / a for a, b in zip(column, stocks) if a > 0)
+             for pi, *column in zip(sit.permit_row, *sit.resource_rows)), ZERO)
+        program = _revenue_program(sit, stocks, top)
+        sol = solve(program)
+        if sol.status != OPTIMAL:  # the permit row is positive, so always bounded
+            raise RuntimeError(f"revenue program unexpectedly {sol.status}")
+        segments = sweep(program, sol, len(stocks))
+        curve = sit._memo[fs] = ([s.lo for s in segments], segments)
+    return curve
 
 
 def production_revenue(sit: Situation, members: Iterable[int], permits) -> Fraction:
@@ -142,14 +169,9 @@ def production_revenue(sit: Situation, members: Iterable[int], permits) -> Fract
     z = as_fraction(permits)
     if z < 0:
         raise SituationError(f"permit quantity must be nonnegative (got {z})")
-    key = (sit.coalition(members), z)
-    revenue = sit._memo.get(key)
-    if revenue is None:
-        sol = solve(_revenue_program(sit, *key))
-        if sol.status != "optimal":  # permits row is positive, so always bounded
-            raise RuntimeError(f"revenue program unexpectedly {sol.status}")
-        revenue = sit._memo[key] = sol.objective_value
-    return revenue
+    los, segments = _curve(sit, sit.coalition(members))
+    segment = segments[bisect_right(los, z) - 1]
+    return segment.value + segment.slope * (z - segment.lo)
 
 
 def coalition_value(sit: Situation, members: Iterable[int], permits) -> Fraction:
@@ -164,34 +186,11 @@ def grand_coalition_dual(sit: Situation) -> LpSolution:
     The returned dual has one multiplier per resource plus one for the permit
     row; the objective value excludes the (constant) tax bill on the cap.
     """
-    return solve(_revenue_program(sit, sit.coalition(sit.firms()), sit.cap))
-
-
-def _demand(sit: Situation, fs: frozenset[int]) -> Fraction:
-    stocks = sit.coalition_endowment(fs)
-    g = sit.n_goods
-    # Stage 1: profit optimum with the permit quantity as a decision variable.
-    objective = list(sit.prices) + [-sit.tax]
-    constraints = [(list(row) + [ZERO], LE, stock)
-                   for row, stock in zip(sit.resource_rows, stocks)]
-    constraints.append((list(sit.permit_row) + [Fraction(-1)], LE, ZERO))
-    stage1 = solve(linear_program(objective, constraints))
-    if stage1.status != "optimal":
-        raise RuntimeError(f"demand program unexpectedly {stage1.status}")
-    best = stage1.objective_value
-    # Stage 2: least permit quantity that still attains that profit.
-    minimize_z = [ZERO] * g + [Fraction(-1)]
-    constraints.append((objective, EQ, best))
-    stage2 = solve(linear_program(minimize_z, constraints))
-    if stage2.status != "optimal":
-        raise RuntimeError(f"demand refinement unexpectedly {stage2.status}")
-    return stage2.primal[g]
+    return solve(_revenue_program(sit, sit.coalition_endowment(sit.firms()), sit.cap))
 
 
 def optimal_demand(sit: Situation, members: Iterable[int]) -> Fraction:
-    """Least permit quantity at which the coalition's profit peaks."""
-    fs = sit.coalition(members)
-    demand = sit._memo.get(fs)
-    if demand is None:
-        demand = sit._memo[fs] = _demand(sit, fs)
-    return demand
+    """Least permit quantity at which the coalition's profit peaks: the lower
+    end of the first segment whose revenue rises no faster than the tax."""
+    _, segments = _curve(sit, sit.coalition(members))
+    return next(s.lo for s in segments if s.slope <= sit.tax)

@@ -133,6 +133,21 @@ def test_deterministic_repeat():
     assert first == second
 
 
+def test_sweep_walks_one_right_hand_side_down_to_zero():
+    # max x s.t. x <= 3, x <= z: the optimum is min(3, z).
+    program = lp.linear_program([1], [([1], lp.LE, 3), ([1], lp.LE, 5)])
+    assert lp.sweep(program, lp.solve(program), 1) == [
+        lp.Segment(0, 3, 0, 1), lp.Segment(3, 5, 3, 0)]
+    # Swept the other way, the row binds at its top value 3.
+    with pytest.raises(RuntimeError, match="not slack at the top"):
+        lp.sweep(program, lp.solve(program), 0)
+    for rows in ([([1], lp.GE, 1), ([1], lp.LE, 5)],
+                 [([1], lp.LE, -1), ([1], lp.LE, 5)],
+                 [([1], lp.LE, 3), ([1], lp.LE, 0)]):
+        program = lp.linear_program([1], rows)
+        with pytest.raises(ValueError, match="sweep needs"):
+            lp.sweep(program, lp.solve(program), 1)
+
 
 _REAL_RUN_SIMPLEX = lp._run_simplex
 # One pivot (slack out, x in) reaches the optimum x = 5.

@@ -212,3 +212,23 @@ def test_full_award_means_structure_independent_value():
                 if minus.values[fs] == game.demand(fs):
                     values = {game.value(fs, p) for p in game.containing(fs)}
                     assert len(values) == 1
+
+
+def _reference_witnesses(game, sense):
+    """The min-with-key form of resource_witnesses, kept as the oracle."""
+    sign = -1 if sense == PLUS else 1
+    return {fs: min(structures, key=lambda p: (sign * game.values[fs, p], game.shares[fs, p]))
+            for fs, structures in game.by_block.items()}
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_resource_witnesses_match_the_min_with_key_oracle(rule, example3):
+    rng = random.Random(RULES.index(rule) + 40)
+    games = [build_game(example3, rule)]
+    while len(games) < 6:
+        sit = support.scarce_situation(rng, n_firms=rng.randint(3, 4))
+        if sit is not None:
+            games.append(build_game(sit, rule))
+    for game in games:
+        for sense in (PLUS, MINUS):
+            assert resource_witnesses(game, sense) == _reference_witnesses(game, sense)

@@ -1,14 +1,20 @@
-"""Coalition values and optimal permit demands, pinned against hand arithmetic."""
+"""Coalition values and optimal permit demands, pinned against hand arithmetic
+and against the per-permit revenue LP and the two-stage demand LP."""
 
 import dataclasses
 import gc
+import os
 import random
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from permit_games import production
+from permit_games import cli, lp, production
+from permit_games.games import lex_coalitions
 from permit_games.partition_games import build_game
 from permit_games.production import (
     Situation,
@@ -160,11 +166,13 @@ def test_lp_memo_is_freed_with_its_economy():
 
 def test_second_tabulation_solves_no_lp(monkeypatch):
     sit = _reference_economy()
-    first = build_game(sit, "cea")
     solved = []
     real_solve = production.solve
     monkeypatch.setattr(
         production, "solve", lambda program: solved.append(program) or real_solve(program))
+    first = build_game(sit, "cea")
+    assert len(solved) == 7  # one revenue curve per coalition
+    solved.clear()
     assert build_game(sit, "cea").values == first.values
     assert solved == []
 
@@ -177,3 +185,143 @@ def test_replaced_economy_starts_a_fresh_memo():
     fresh = _reference_economy(tax=30)
     assert optimal_demand(changed, grand) == optimal_demand(fresh, grand) == 60 != before
     assert changed == fresh and hash(changed) == hash(fresh) and repr(changed) == repr(fresh)
+
+
+def _revenue_program(sit, members, permits):
+    stocks = sit.coalition_endowment(members)
+    rows = [(row, lp.LE, b) for row, b in zip(sit.resource_rows, stocks)]
+    return lp.linear_program(sit.prices, rows + [(sit.permit_row, lp.LE, permits)])
+
+
+def _oracle_revenue(sit, members, permits):
+    """One revenue LP at the given permit quantity."""
+    return lp.solve(_revenue_program(sit, members, permits)).objective_value
+
+
+def _oracle_demand(sit, members):
+    """Two-stage demand LP: the best profit with the permits as a variable,
+    then the least permit quantity that still attains it."""
+    stocks = sit.coalition_endowment(members)
+    objective = [*sit.prices, -sit.tax]
+    rows = [([*row, 0], lp.LE, b) for row, b in zip(sit.resource_rows, stocks)]
+    rows.append(([*sit.permit_row, -1], lp.LE, 0))
+    best = lp.solve(lp.linear_program(objective, rows)).objective_value
+    least = [0] * sit.n_goods + [-1]
+    return lp.solve(lp.linear_program(least, rows + [(objective, lp.EQ, best)])).primal[-1]
+
+
+def _sweep_economies():
+    """48 seeded economies of 2-5 firms; in every third one the last firm
+    holds nothing."""
+    rng = random.Random(8080)
+    for index in range(48):
+        n = 2 + index % 4
+        if index % 3:
+            yield support.rand_situation(rng, n_firms=n)
+        else:
+            sit = support.rand_situation(rng, n_firms=n - 1)
+            yield Situation.create(sit.production, [[*row, 0] for row in sit.endowments],
+                                   sit.prices, sit.tax, sit.cap)
+
+
+def test_revenue_curves_match_the_per_permit_and_two_stage_oracles():
+    kinks = 0
+    for sit in _sweep_economies():
+        for fs in lex_coalitions(sit.firms()):
+            los, segments = production._curve(sit, fs)
+            assert los == [s.lo for s in segments] and los[0] == 0
+            assert [s.hi for s in segments[:-1]] == los[1:]
+            assert segments[-1].slope == 0
+            assert all(a.slope >= b.slope for a, b in zip(segments, segments[1:]))
+            kinks += len(segments) - 1
+            top = segments[-1].hi
+            points = {F(0), top + 1, 2 * top}
+            for s in segments:
+                points |= {s.lo, s.hi, (s.lo + s.hi) / 2}
+            for z in points:
+                assert production_revenue(sit, fs, z) == _oracle_revenue(sit, fs, z)
+            assert optimal_demand(sit, fs) == _oracle_demand(sit, fs)
+        grand = frozenset(sit.firms())
+        for s in production._curve(sit, grand)[1]:
+            for z in (s.lo, (s.lo + s.hi) / 2):
+                expected = support.oracle_optimum(_revenue_program(sit, grand, z))
+                assert production_revenue(sit, grand, z) == expected
+    assert kinks > 100
+
+
+def test_two_basic_variables_reach_zero_at_one_breakpoint():
+    # The pair's program is max 5 x1 + 7 x2 s.t. x1 + 2 x2 <= 20, x2 <= 10,
+    # x1 + x2 <= z.  On [10, 20] its optimum is x = (2z - 20, 20 - z) with
+    # slack z - 10 on x2 <= 10, so x1 and that slack reach 0 together at 10.
+    sit = Situation.create(production=[[1, 2], [0, 1], [1, 1]],
+                           endowments=[[12, 8], [4, 6]], prices=[5, 7], tax=2, cap=15)
+    pair = frozenset({1, 2})
+    _, segments = production._curve(sit, pair)
+    assert [(s.lo, s.hi, s.value, s.slope) for s in segments] == [
+        (0, 10, 0, 7), (10, 20, 70, 3), (20, 31, 100, 0)]
+    assert optimal_demand(sit, pair) == _oracle_demand(sit, pair) == 20
+    for z in (0, 5, 10, F(29, 2), 20, 31, 40):
+        assert production_revenue(sit, pair, z) == _oracle_revenue(sit, pair, z)
+
+
+_REAL_SEGMENT = lp._segment
+
+
+def _wrong_slope(segment, dual, ends):
+    return segment._replace(slope=segment.slope + 1), dual, ends
+
+
+def _wrong_value(segment, dual, ends):
+    return segment._replace(value=segment.value + 1), dual, ends
+
+
+def _wrong_primal(segment, dual, ends):
+    low, (xs, den) = ends
+    return segment, dual, (low, ([xs[0] + 1, *xs[1:]], den))
+
+
+CORRUPTIONS = [_wrong_slope, _wrong_value, _wrong_primal]
+
+
+def _corrupting(corrupt):
+    return lambda *args: corrupt(*_REAL_SEGMENT(*args))
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+def test_a_corrupted_segment_is_refused(monkeypatch, corrupt):
+    monkeypatch.setattr(lp, "_segment", _corrupting(corrupt))
+    with pytest.raises(RuntimeError):
+        optimal_demand(_reference_economy(), [1, 2, 3])
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+def test_a_corrupted_segment_exits_three(monkeypatch, capsys, corrupt):
+    fixture = Path(cli.__file__).with_name("fixtures") / "example3.json"
+    monkeypatch.setattr(lp, "_segment", _corrupting(corrupt))
+    assert cli.main(["demands", "--scenario", str(fixture)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ") and captured.err.count("\n") == 1
+
+
+def test_corrupted_segments_are_refused_under_python_O():
+    script = """
+import sys
+from permit_games import lp
+import test_production
+for corrupt in test_production.CORRUPTIONS:
+    lp._segment = test_production._corrupting(corrupt)
+    try:
+        test_production.optimal_demand(test_production._reference_economy(), [1, 2, 3])
+    except RuntimeError as exc:
+        print("raised", exc)
+print("optimize", sys.flags.optimize)
+"""
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-1] == "optimize 1"
+    assert len(lines) == 4 and all(line.startswith("raised") for line in lines[:3])
