@@ -20,6 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable
 
 from .lp import LE, OPTIMAL, LpSolution, Segment, as_fraction, linear_program, solve, sweep
@@ -134,7 +135,7 @@ class Situation:
 
     @cached_property
     def _memo(self) -> dict:
-        """Revenue curves keyed by coalition: segment lower ends and segments."""
+        """Revenue curves (certified segments) keyed by coalition."""
         return {}
 
 
@@ -144,9 +145,9 @@ def _revenue_program(sit: Situation, stocks: tuple[Fraction, ...], permits: Frac
     return linear_program(sit.prices, constraints)
 
 
-def _curve(sit: Situation, fs: frozenset[int]) -> tuple[list[Fraction], list[Segment]]:
-    """The coalition's certified revenue segments, in increasing permits,
-    with their lower ends; the last one holds for every larger quantity."""
+def _curve(sit: Situation, fs: frozenset[int]) -> list[Segment]:
+    """The coalition's certified revenue segments in increasing permits;
+    the last one holds for every larger quantity."""
     curve = sit._memo.get(fs)
     if curve is None:
         stocks = sit.coalition_endowment(fs)
@@ -159,8 +160,7 @@ def _curve(sit: Situation, fs: frozenset[int]) -> tuple[list[Fraction], list[Seg
         sol = solve(program)
         if sol.status != OPTIMAL:  # the permit row is positive, so always bounded
             raise RuntimeError(f"revenue program unexpectedly {sol.status}")
-        segments = sweep(program, sol, len(stocks))
-        curve = sit._memo[fs] = ([s.lo for s in segments], segments)
+        curve = sit._memo[fs] = sweep(program, sol, len(stocks))
     return curve
 
 
@@ -169,8 +169,8 @@ def production_revenue(sit: Situation, members: Iterable[int], permits) -> Fract
     z = as_fraction(permits)
     if z < 0:
         raise SituationError(f"permit quantity must be nonnegative (got {z})")
-    los, segments = _curve(sit, sit.coalition(members))
-    segment = segments[bisect_right(los, z) - 1]
+    segments = _curve(sit, sit.coalition(members))
+    segment = segments[bisect_right(segments, z, key=attrgetter("lo")) - 1]
     return segment.value + segment.slope * (z - segment.lo)
 
 
@@ -192,5 +192,4 @@ def grand_coalition_dual(sit: Situation) -> LpSolution:
 def optimal_demand(sit: Situation, members: Iterable[int]) -> Fraction:
     """Least permit quantity at which the coalition's profit peaks: the lower
     end of the first segment whose revenue rises no faster than the tax."""
-    _, segments = _curve(sit, sit.coalition(members))
-    return next(s.lo for s in segments if s.slope <= sit.tax)
+    return next(s.lo for s in _curve(sit, sit.coalition(members)) if s.slope <= sit.tax)

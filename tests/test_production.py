@@ -228,9 +228,9 @@ def test_revenue_curves_match_the_per_permit_and_two_stage_oracles():
     kinks = 0
     for sit in _sweep_economies():
         for fs in lex_coalitions(sit.firms()):
-            los, segments = production._curve(sit, fs)
-            assert los == [s.lo for s in segments] and los[0] == 0
-            assert [s.hi for s in segments[:-1]] == los[1:]
+            segments = production._curve(sit, fs)
+            assert segments[0].lo == 0
+            assert [s.hi for s in segments[:-1]] == [s.lo for s in segments[1:]]
             assert segments[-1].slope == 0
             assert all(a.slope >= b.slope for a, b in zip(segments, segments[1:]))
             kinks += len(segments) - 1
@@ -242,7 +242,7 @@ def test_revenue_curves_match_the_per_permit_and_two_stage_oracles():
                 assert production_revenue(sit, fs, z) == _oracle_revenue(sit, fs, z)
             assert optimal_demand(sit, fs) == _oracle_demand(sit, fs)
         grand = frozenset(sit.firms())
-        for s in production._curve(sit, grand)[1]:
+        for s in production._curve(sit, grand):
             for z in (s.lo, (s.lo + s.hi) / 2):
                 expected = support.oracle_optimum(_revenue_program(sit, grand, z))
                 assert production_revenue(sit, grand, z) == expected
@@ -256,7 +256,7 @@ def test_two_basic_variables_reach_zero_at_one_breakpoint():
     sit = Situation.create(production=[[1, 2], [0, 1], [1, 1]],
                            endowments=[[12, 8], [4, 6]], prices=[5, 7], tax=2, cap=15)
     pair = frozenset({1, 2})
-    _, segments = production._curve(sit, pair)
+    segments = production._curve(sit, pair)
     assert [(s.lo, s.hi, s.value, s.slope) for s in segments] == [
         (0, 10, 0, 7), (10, 20, 70, 3), (20, 31, 100, 0)]
     assert optimal_demand(sit, pair) == _oracle_demand(sit, pair) == 20
