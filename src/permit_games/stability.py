@@ -1,11 +1,13 @@
 """Core tests, constructive stable allocations and the trading ledger.
 
-Core nonemptiness is decided exactly: minimize total payout subject to every
-proper coalition's rationality constraint and compare with the grand value.
-When the core is empty the LP dual supplies balanced coalition weights whose
-weighted worths exceed the grand value, an exact certificate; when a whole
-partition already over-claims, the certificate cites that partition instead
-because it reads better in reports.
+Core nonemptiness is decided exactly.  First every partition of the players
+is searched: when one over-claims (its blocks' worths sum beyond the grand
+value) the core is empty, and that partition is the certificate, since it
+reads better in reports; no LP is solved.  Otherwise minimize total payout
+subject to every proper coalition's rationality constraint and compare with
+the grand value.  When the core is still empty the LP dual supplies balanced
+coalition weights whose weighted worths exceed the grand value, an exact
+certificate.
 """
 
 from __future__ import annotations
@@ -102,16 +104,11 @@ def core_nonempty(game: CharacteristicGame) -> CoreVerdict:
     grand = game.grand_value
     if n == 1:
         return CoreVerdict(nonempty=True, witness=(grand,))
-    proper = [fs for fs in game.coalitions() if len(fs) < n]
-    index = {p: i for i, p in enumerate(players)}
-    # Payoffs may be negative, so player i's payoff is x[2i] - x[2i+1].
-    constraints = []
-    for fs in proper:
-        row = [ZERO] * (2 * n)
-        for i in fs:
-            row[2 * index[i]], row[2 * index[i] + 1] = ONE, -ONE
-        constraints.append((row, GE, game.values[fs]))
-    sol = solve(linear_program([-ONE, ONE] * n, constraints))
+    over_claim = _over_claiming_partition(game)
+    if over_claim is not None:
+        return CoreVerdict(nonempty=False, certificate=over_claim)
+    proper, program = _core_program(game)
+    sol = solve(program)
     if sol.status != OPTIMAL:
         raise RuntimeError(f"core program unexpectedly {sol.status}")
     cheapest = -sol.objective_value
@@ -122,30 +119,42 @@ def core_nonempty(game: CharacteristicGame) -> CoreVerdict:
         if not in_core(game, verdict.witness).ok:
             raise RuntimeError("core witness failed its exact membership re-check")
         return verdict
-    return CoreVerdict(
-        nonempty=False,
-        certificate=_emptiness_certificate(game, proper, sol.dual, cheapest))
+    parts = tuple((fs, -y) for fs, y in zip(proper, sol.dual) if y != 0)
+    return CoreVerdict(nonempty=False, certificate=CoreCertificate(
+        kind="balanced", parts=parts, weighted_total=cheapest, grand_value=grand))
 
 
-def _emptiness_certificate(game, proper, dual, cheapest) -> CoreCertificate:
+def _core_program(game: CharacteristicGame):
+    """(proper coalitions, program): minimise total payout subject to one
+    ``>=`` row per proper coalition, in lex order."""
+    n = len(game.players)
+    proper = [fs for fs in game.coalitions() if len(fs) < n]
+    index = {p: i for i, p in enumerate(game.players)}
+    # Payoffs may be negative, so player i's payoff is x[2i] - x[2i+1].
+    constraints = []
+    for fs in proper:
+        row = [ZERO] * (2 * n)
+        for i in fs:
+            row[2 * index[i]], row[2 * index[i] + 1] = ONE, -ONE
+        constraints.append((row, GE, game.values[fs]))
+    return proper, linear_program([-ONE, ONE] * n, constraints)
+
+
+def _over_claiming_partition(game: CharacteristicGame) -> Optional[CoreCertificate]:
+    """The first partition, in enumeration order, whose blocks' worths exceed
+    the grand value by the most; None when no partition over-claims."""
     grand = game.grand_value
-    best_partition = None
-    best_excess = ZERO
+    best_partition, best_total = None, grand
     for partition in enumerate_partitions(len(game.players), limit=len(game.players)):
         blocks = [frozenset(game.players[i - 1] for i in block) for block in partition]
         total = sum((game.values[b] for b in blocks), ZERO)
-        if total - grand > best_excess:
-            best_excess = total - grand
-            best_partition = blocks
-    if best_partition is not None:
-        return CoreCertificate(
-            kind="partition",
-            parts=tuple((b, Fraction(1)) for b in best_partition),
-            weighted_total=sum((game.values[b] for b in best_partition), ZERO),
-            grand_value=grand)
-    parts = tuple((fs, -y) for fs, y in zip(proper, dual) if y != 0)
+        if total > best_total:
+            best_partition, best_total = blocks, total
+    if best_partition is None:
+        return None
     return CoreCertificate(
-        kind="balanced", parts=parts, weighted_total=cheapest, grand_value=grand)
+        kind="partition", parts=tuple((b, ONE) for b in best_partition),
+        weighted_total=best_total, grand_value=grand)
 
 
 @dataclass(frozen=True)

@@ -204,28 +204,18 @@ def _programs():
             return _rebuild(program, rows=rows, rhs=rhs, senses=senses + [lp.EQ])
         yield f"redundant-eq-{k}", feasible(redundant)
 
-    captured = []
-
-    def capture(program):
-        captured.append(program)
-        return lp.solve(program)
-
-    stability.solve = capture
-    try:
-        rng = random.Random(6)
-        for k, n_firms in enumerate((4, 4, 4, 5, 5)):
-            sit = None
-            while sit is None:
-                sit = support.scarce_situation(rng, n_firms=n_firms)
-            game = build_game(sit, RULES[k % len(RULES)])
-            for title, derived in (("optimistic", optimistic_game(game)),
-                                   ("pessimistic", pessimistic_game(game)),
-                                   ("resource-plus", resource_game(game, PLUS)),
-                                   ("resource-minus", resource_game(game, MINUS))):
-                stability.core_nonempty(derived)
-                yield f"core-n{n_firms}-{k}-{title}", _free_form(captured.pop())
-    finally:
-        stability.solve = lp.solve
+    rng = random.Random(6)
+    for k, n_firms in enumerate((4, 4, 4, 5, 5)):
+        sit = None
+        while sit is None:
+            sit = support.scarce_situation(rng, n_firms=n_firms)
+        game = build_game(sit, RULES[k % len(RULES)])
+        for title, derived in (("optimistic", optimistic_game(game)),
+                               ("pessimistic", pessimistic_game(game)),
+                               ("resource-plus", resource_game(game, PLUS)),
+                               ("resource-minus", resource_game(game, MINUS))):
+            _, program = stability._core_program(derived)
+            yield f"core-n{n_firms}-{k}-{title}", _free_form(program)
 
 
 def _record() -> list:

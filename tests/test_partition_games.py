@@ -1,11 +1,16 @@
 """Externality games on the reference economy, checked cell by cell."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from permit_games import bankruptcy, cli, partition_games
 from permit_games.bankruptcy import RULES
 from permit_games.partition_games import (
     MINUS,
@@ -16,7 +21,7 @@ from permit_games.partition_games import (
     resource_game,
     resource_witnesses,
 )
-from permit_games.production import coalition_value
+from permit_games.production import coalition_value, optimal_demand
 
 import support
 
@@ -130,14 +135,6 @@ def test_prop_merging_gain_witness(prop_game):
     assert minus.value({1}) + minus.value({3}) < minus.value({1, 3})
 
 
-def test_block_index_lists_containing_structures_in_order(cea_game):
-    assert cea_game.containing({1, 2}) == (P2,)
-    assert cea_game.containing({1, 4}) == ()
-    for fs in cea_game.demands:
-        block = tuple(sorted(fs))
-        assert cea_game.containing(fs) == tuple(p for p in cea_game.partitions if block in p)
-
-
 @pytest.mark.parametrize("derive", [resource_game, resource_witnesses])
 def test_unknown_sense_rejected(cea_game, derive):
     with pytest.raises(ValueError, match="sense"):
@@ -148,7 +145,7 @@ def test_abundant_cap_kills_externalities(example3):
     roomy = dataclasses.replace(example3, cap=F(100))
     game = build_game(roomy, "cea")
     for fs, demand in game.demands.items():
-        for partition in game.containing(fs):
+        for partition in _containing(game, fs):
             assert game.share(fs, partition) == demand
             assert game.value(fs, partition) == coalition_value(roomy, fs, demand)
 
@@ -210,25 +207,116 @@ def test_full_award_means_structure_independent_value():
             minus = resource_game(game, MINUS)
             for fs in minus.coalitions():
                 if minus.values[fs] == game.demand(fs):
-                    values = {game.value(fs, p) for p in game.containing(fs)}
+                    values = {game.value(fs, p) for p in _containing(game, fs)}
                     assert len(values) == 1
 
 
+def _containing(game, fs):
+    """Structures holding fs as a block, in enumeration order."""
+    block = tuple(sorted(fs))
+    return [p for p in game.partitions if block in p]
+
+
 def _reference_witnesses(game, sense):
-    """The min-with-key form of resource_witnesses, kept as the oracle."""
+    """The min-with-key form of resource_witnesses over every cell, kept as the oracle."""
     sign = -1 if sense == PLUS else 1
-    return {fs: min(structures, key=lambda p: (sign * game.values[fs, p], game.shares[fs, p]))
-            for fs, structures in game.by_block.items()}
+    return {fs: min(_containing(game, fs),
+                    key=lambda p: (sign * game.values[fs, p], game.shares[fs, p]))
+            for fs in game.demands}
 
 
-@pytest.mark.parametrize("rule", RULES)
-def test_resource_witnesses_match_the_min_with_key_oracle(rule, example3):
+@pytest.fixture(scope="module", params=RULES)
+def seeded_games(request, example3):
+    """The reference economy and ten seeded scarce economies, two each of 2-6 firms."""
+    rule = request.param
     rng = random.Random(RULES.index(rule) + 40)
     games = [build_game(example3, rule)]
-    while len(games) < 6:
-        sit = support.scarce_situation(rng, n_firms=rng.randint(3, 4))
-        if sit is not None:
-            games.append(build_game(sit, rule))
-    for game in games:
+    for n_firms in (2, 3, 4, 5, 6) * 2:
+        sit = None
+        while sit is None:
+            sit = support.scarce_situation(rng, n_firms=n_firms)
+        games.append(build_game(sit, rule))
+    return games
+
+
+def test_resource_witnesses_match_the_min_with_key_oracle(seeded_games):
+    for game in seeded_games:
         for sense in (PLUS, MINUS):
-            assert resource_witnesses(game, sense) == _reference_witnesses(game, sense)
+            assert (list(resource_witnesses(game, sense).items())
+                    == list(_reference_witnesses(game, sense).items()))
+
+
+def test_bound_games_match_the_min_and_max_over_every_cell(seeded_games):
+    for game in seeded_games:
+        for bound, pick in ((pessimistic_game, min), (optimistic_game, max)):
+            expected = {fs: pick(game.values[fs, p] for p in _containing(game, fs))
+                        for fs in game.demands}
+            derived = bound(game)
+            assert derived.values == expected
+            assert list(derived.values) == derived.coalitions()
+
+
+def _award_beyond_claim(real):
+    def allocate(rule, claims, cap):
+        return (claims[0] + 1, *real(rule, claims, cap)[1:])
+    return allocate
+
+
+def _profit_dip(real):
+    """Firm 1 alone earns less at its full demand than when rationed."""
+    def value(sit, members, permits):
+        profit = real(sit, members, permits)
+        if frozenset(members) == {1} and permits == optimal_demand(sit, [1]):
+            profit -= 1000
+        return profit
+    return value
+
+
+# (module, attribute, corruption): one award beyond its claim, or one profit
+# that falls as the share rises; either breaks the monotonicity build_game checks
+CORRUPTIONS = [(bankruptcy, "allocate", _award_beyond_claim),
+               (partition_games, "coalition_value", _profit_dip)]
+
+
+@pytest.mark.parametrize("module, attr, corrupt", CORRUPTIONS)
+def test_a_non_monotone_cell_is_refused(monkeypatch, example3, module, attr, corrupt):
+    monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
+    with pytest.raises(RuntimeError, match="not increasing"):
+        build_game(example3, "cea")
+
+
+@pytest.mark.parametrize("module, attr, corrupt", CORRUPTIONS)
+def test_a_non_monotone_cell_exits_three(monkeypatch, capsys, module, attr, corrupt):
+    fixture = Path(cli.__file__).with_name("fixtures") / "example3.json"
+    monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
+    assert cli.main(["resource-games", "--scenario", str(fixture)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ") and "not increasing" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_non_monotone_cells_are_refused_under_python_O():
+    script = """
+import sys
+from permit_games.reference import bundled_scenario
+import test_partition_games as t
+sit = bundled_scenario().situation
+for module, attr, corrupt in t.CORRUPTIONS:
+    real = getattr(module, attr)
+    setattr(module, attr, corrupt(real))
+    try:
+        t.build_game(sit, "cea")
+    except RuntimeError as exc:
+        print("raised", exc)
+    setattr(module, attr, real)
+print("optimize", sys.flags.optimize)
+"""
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-1] == "optimize 1"
+    assert len(lines) == 3 and all(line.startswith("raised") for line in lines[:2])

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from permit_games import lp, stability
+from permit_games.bankruptcy import RULES
 from permit_games.games import CharacteristicGame, lex_coalitions
+from permit_games.partitions import enumerate_partitions
 from permit_games.partition_games import (
     MINUS,
     PLUS,
@@ -15,6 +18,8 @@ from permit_games.partition_games import (
     resource_game,
 )
 from permit_games.stability import (
+    CoreCertificate,
+    CoreVerdict,
     core_nonempty,
     in_core,
     owen_allocation,
@@ -141,6 +146,71 @@ def test_core_with_negative_worths():
     assert cert.weighted_total == -9 > cert.grand_value == -10
     for player in over.players:
         assert sum(w for fs, w in cert.parts if player in fs) == 1
+
+
+def _lp_first_core(game):
+    """The core decision with the LP first and the partition search only
+    after an empty LP, kept as the oracle for the partition-first order."""
+    n, grand = len(game.players), game.grand_value
+    proper, program = stability._core_program(game)
+    sol = lp.solve(program)
+    cheapest = -sol.objective_value
+    if cheapest <= grand:
+        witness = [sol.primal[2 * i] - sol.primal[2 * i + 1] for i in range(n)]
+        witness[0] += grand - cheapest
+        return CoreVerdict(nonempty=True, witness=tuple(witness))
+    best, best_excess = None, F(0)
+    for partition in enumerate_partitions(n, limit=n):
+        blocks = [frozenset(game.players[i - 1] for i in block) for block in partition]
+        excess = sum(game.values[b] for b in blocks) - grand
+        if excess > best_excess:
+            best, best_excess = blocks, excess
+    if best is not None:
+        return CoreVerdict(nonempty=False, certificate=CoreCertificate(
+            kind="partition", parts=tuple((b, F(1)) for b in best),
+            weighted_total=grand + best_excess, grand_value=grand))
+    parts = tuple((fs, -y) for fs, y in zip(proper, sol.dual) if y != 0)
+    return CoreVerdict(nonempty=False, certificate=CoreCertificate(
+        kind="balanced", parts=parts, weighted_total=cheapest, grand_value=grand))
+
+
+def _derived_games(game):
+    return (optimistic_game(game), pessimistic_game(game),
+            resource_game(game, PLUS), resource_game(game, MINUS))
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_partition_first_core_matches_the_lp_first_oracle(rule, example3):
+    rng = random.Random(RULES.index(rule) + 70)
+    games = [build_game(example3, rule)]
+    for n_firms in (3, 4, 5):
+        sit = None
+        while sit is None:
+            sit = support.scarce_situation(rng, n_firms=n_firms)
+        games.append(build_game(sit, rule))
+    kinds = set()
+    for game in games:
+        for derived in _derived_games(game):
+            verdict = core_nonempty(derived)
+            assert verdict == _lp_first_core(derived)
+            kinds.add("nonempty" if verdict.nonempty else verdict.certificate.kind)
+    # both the partition search and the LP decide some of these games
+    assert "partition" in kinds and len(kinds) >= 2
+
+
+def test_over_claiming_game_solves_no_core_lp(cea_game, monkeypatch):
+    programs = []
+
+    def counting(program):
+        programs.append(program)
+        return lp.solve(program)
+
+    monkeypatch.setattr(stability, "solve", counting)
+    verdict = core_nonempty(optimistic_game(cea_game))
+    assert verdict.certificate.kind == "partition"
+    assert programs == []
+    assert core_nonempty(pessimistic_game(cea_game)).nonempty
+    assert len(programs) == 1
 
 
 def test_owen_allocation_reference(example3):
