@@ -6,11 +6,11 @@ walking the sorted claim breakpoints (never by numeric root finding; exact
 water levels matter downstream because permit shares feed argmin/argmax
 comparisons over partitions).  ``ration`` serves integer claims in full or
 rations them, and checks that rationed awards exhaust the cap as an integer
-sum, ``sum(nums) == cap*den``.  Fractions appear only at the boundary:
-``allocate`` and the four public rule functions scale their Fraction inputs
-by ``lcm`` of the denominators and turn the integer awards back into
-Fractions.  ``allocate`` is the one serve-in-full-or-ration step behind every
-game and the mechanism; the truthfulness check scales its report grids once
+sum, ``sum(nums) == cap*den``.  Fractions appear only at two boundaries.
+``allocate``, the one Fraction entry, is the serve-in-full-or-ration step
+behind every game and the mechanism: it scales its Fraction inputs by
+``lcm`` of the denominators and turns the integer awards back into
+Fractions.  The truthfulness check scales its report grids once per call
 and calls ``ration`` directly.
 """
 
@@ -78,25 +78,6 @@ class BankruptcyProblem:
             raise RationingError(
                 f"claims sum {sum(self.claims, ZERO)} falls short of the estate "
                 f"{self.estate}; the abundant case is the caller's business")
-
-
-def constrained_equal_awards(estate: Fraction, claims: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """award_i = min(claim_i, level) with the level chosen to exhaust the estate."""
-    return _in_units(_cea, estate, claims)
-
-
-def constrained_equal_losses(estate: Fraction, claims: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """award_i = max(claim_i - loss, 0) with the loss chosen to exhaust the estate."""
-    return _in_units(_cel, estate, claims)
-
-
-def proportional(estate: Fraction, claims: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return _in_units(_prop, estate, claims)
-
-
-def talmud(estate: Fraction, claims: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Half-claims CEA below the halfway estate, half-claims CEL above it."""
-    return _in_units(_tal, estate, claims)
 
 
 def _cea(cap: int, claims: Sequence[int]) -> tuple[list[int], int]:
@@ -181,24 +162,19 @@ def ration(rule: str, claims: Sequence[int], cap: int) -> tuple[Sequence[int], i
     return nums, den
 
 
-def _in_units(kernel, estate: Fraction, claims: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Run an integer kernel on a Fraction estate and claims scaled by ``lcm``
-    of their denominators; the only place where rationing meets Fractions.
-    An award equal to its claim is the claim object itself, and equal awards
-    are one object, because callers keep the awards they get: a game table
-    holds one per payoff cell."""
-    scale = lcm(estate.denominator, *(d.denominator for d in claims))
-    units = [d.numerator * (scale // d.denominator) for d in claims]
-    nums, den = kernel(estate.numerator * (scale // estate.denominator), units)
-    shared = {a: Fraction(a, den * scale) for u, a in zip(units, nums) if a != u * den}
-    return tuple(shared.get(a, d) for d, a in zip(claims, nums))
-
-
 def allocate(rule: str, claims: Sequence[Fraction], cap: Fraction) -> tuple[Fraction, ...]:
     """Serve the claims in full when they fit under the cap, else ration the
-    cap by the rule; rationed awards always exhaust the cap."""
+    cap by the rule; rationed awards always exhaust the cap.  The cap and
+    claims are scaled by ``lcm`` of their denominators into integer units
+    for ``ration``.  An award equal to its claim is the claim object itself,
+    and equal awards are one object, because callers keep the awards they
+    get: a game table holds one per payoff cell."""
     rule = check_rule(rule)
-    return _in_units(lambda units_cap, units: ration(rule, units, units_cap), cap, claims)
+    scale = lcm(cap.denominator, *(d.denominator for d in claims))
+    units = [d.numerator * (scale // d.denominator) for d in claims]
+    nums, den = ration(rule, units, cap.numerator * (scale // cap.denominator))
+    shared = {a: Fraction(a, den * scale) for u, a in zip(units, nums) if a != u * den}
+    return tuple(shared.get(a, d) for d, a in zip(claims, nums))
 
 
 def apply_rule(rule: str, problem: BankruptcyProblem) -> tuple[Fraction, ...]:

@@ -108,7 +108,7 @@ def _dispatch(args) -> int:
         scenario = Scenario(
             name=scenario.name, situation=scenario.situation, rule=args.rule,
             options=scenario.options)
-    if args.dump_scenario:
+    if args.dump_scenario is not None:
         dump_scenario(scenario, args.dump_scenario)
     handler = {
         "demands": _cmd_demands,
@@ -291,7 +291,7 @@ def _cmd_pipeline(scenario, args):
 def _cmd_mechanism(scenario, args):
     sit = scenario.situation
     precision = _precision(scenario, args)
-    grid = parse_grid(args.grid) if args.grid else scenario.options.grid
+    grid = parse_grid(args.grid) if args.grid is not None else scenario.options.grid
     cfg = make_config(sit, scenario.rule, grid=grid)
     report = Report()
     sec = report.section(
@@ -334,8 +334,8 @@ def _parse_vector(text: str, what: str) -> tuple[Fraction, ...]:
 def _cmd_trade(scenario, args):
     sit = scenario.situation
     precision = _precision(scenario, args)
-    target = _parse_vector(args.target, "--target") if args.target else None
-    price = _parse_number(args.price, "--price") if args.price else None
+    target = _parse_vector(args.target, "--target") if args.target is not None else None
+    price = _parse_number(args.price, "--price") if args.price is not None else None
     pipeline = stable_pipeline(sit, scenario.rule, limit=_limit(scenario, args))
     if not (pipeline.scarce and pipeline.claims_exceed_cap):
         raise ScenarioError(

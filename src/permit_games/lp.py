@@ -29,10 +29,11 @@ complementary slackness, strong duality and dual feasibility, the last
 recomputed from the standard-form rows rather than read off the tableau.
 A failed check raises RuntimeError, also under ``python -O``.
 
-``sweep`` continues from an optimum's final basis and walks one row's
-right-hand side down to 0 by dual simplex pivots (parametric programming,
-Gal 1979), so the optimum as a function of that right-hand side comes out
-as exact segments, each certified like an optimum at both of its ends.
+``sweep`` solves a program and continues on the solver's own final
+tableau, walking one row's right-hand side down to 0 by dual simplex pivots
+(parametric programming, Gal 1979), so the optimum as a function of that
+right-hand side comes out as exact segments, each certified like an optimum
+at both of its ends.
 """
 
 from __future__ import annotations
@@ -137,15 +138,17 @@ class LpSolution:
     ``dual`` carries one multiplier per constraint, with signs fixed so that
     for a maximization a <=-row has a nonnegative multiplier and a >=-row a
     nonpositive one.  At an optimum the pair (primal, dual) satisfies
-    complementary slackness exactly.  ``basis`` holds the final basic column
-    of each standard-form row, for ``sweep`` to continue from.
+    complementary slackness exactly.  At an optimum, ``_tableau`` holds the
+    solver's final state for ``sweep`` to continue on: the tableau rows with
+    the reduced costs last, their denominators, the basis, the standard-form
+    rows, and the objective's numerators over their denominator.
     """
 
     status: str
     objective_value: Optional[Fraction] = None
     primal: Optional[tuple[Fraction, ...]] = None
     dual: Optional[tuple[Fraction, ...]] = None
-    basis: Optional[tuple[int, ...]] = field(default=None, repr=False, compare=False)
+    _tableau: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 class _StdRow(NamedTuple):
@@ -233,12 +236,14 @@ def solve(lp: LinearProgram) -> LpSolution:
     y = [-red[unit_col[i]] for i in range(m)]  # numerators over red_den
     dual = tuple(Fraction(row.flip * yi, red_den) for row, yi in zip(work, y))
 
+    rows.append(red)
+    dens.append(red_den)
     solution = LpSolution(
         status=OPTIMAL,
         objective_value=objective_value,
         primal=tuple(primal),
         dual=dual,
-        basis=tuple(basis),
+        _tableau=(rows, dens, basis, work, obj, obj_den),
     )
     xs, x_den = _integer_row(solution.primal)
     _self_check(work, obj, obj_den, y, red_den,
@@ -256,65 +261,43 @@ class Segment(NamedTuple):
     slope: Fraction
 
 
-def sweep(lp: LinearProgram, solution: LpSolution, k: int) -> list[Segment]:
+def sweep(lp: LinearProgram, k: int) -> list[Segment]:
     """The optimum of ``lp`` as its row ``k``'s right-hand side z falls from
     its value in ``lp`` to 0: segments of positive length in increasing z.
 
     Every row must be ``<=`` with a nonnegative right-hand side, so the
-    origin stays feasible down to z = 0, row k's must be positive, and
-    ``solution`` must be the optimum that ``solve`` returned for ``lp``.
-    Row k must be slack there, so the top segment has slope 0 and holds for
-    every z above its lower end too.
+    origin stays feasible down to z = 0, and row k's must be positive.  The
+    program must be bounded, and row k slack at its optimum, so the top
+    segment has slope 0 and holds for every z above its lower end too.
 
-    The walk starts from ``solution``'s basis.  Row i of the tableau keeps
-    its right-hand side at the top value t, so its basic variable at z is
-    rhs_i - (t - z) beta_i, where beta is the column of row k's slack; the
-    next breakpoint is t - rhs_i / beta_i, least over beta_i > 0, and one
-    dual simplex pivot crosses it.  Ties follow Bland: the least basic
-    index leaves, the least column enters.  Each segment is certified at
-    both ends before it is kept; a failure raises RuntimeError.
+    ``solve`` finds that optimum and the walk continues on its final
+    tableau.  Row i keeps its right-hand side at the top value t, so its
+    basic variable at z is rhs_i - (t - z) beta_i, where beta is the column
+    of row k's slack; the next breakpoint is t - rhs_i / beta_i, least over
+    beta_i > 0, and one dual simplex pivot crosses it.  Ties follow Bland:
+    the least basic index leaves, the least column enters.  Each segment is
+    certified at both ends before it is kept; a failure raises RuntimeError.
     """
     n, m = lp.n_vars, lp.n_rows
     if (any(sense != LE for sense in lp.senses) or any(b < 0 for b in lp.rhs)
             or lp.rhs[k] <= 0):
         raise ValueError("sweep needs <= rows, nonnegative right-hand sides and a "
                          "positive one on the swept row")
-    work = [_std_row(*row) for row in zip(lp.rows, lp.rhs, lp.senses)]
-    cost, cost_den = _integer_row(lp.objective)
-    # Slack-basis tableau with the reduced costs as row m, so that every
-    # pivot updates them; then pivot in the solution's basic columns.
+    solution = solve(lp)
+    if solution.status != OPTIMAL:
+        raise RuntimeError(f"cannot sweep a program that is {solution.status}")
+    # With <= rows only, the columns are structural | slack | rhs, and the
+    # reduced costs are row m, so every pivot updates them.
+    rows, dens, basis, work, cost, cost_den = solution._tableau
     rhs = n + m
-    rows = []
-    for i, row in enumerate(work):
-        rows.append(row.structural + [0] * m + [row.rhs])
-        rows[i][n + i] = row.den
-    rows.append(cost + [0] * (m + 1))
-    dens = [row.den for row in work] + [cost_den]
-    basis = list(range(n, rhs))
-    final = set(solution.basis)
-    for col in solution.basis:
-        if col not in basis:
-            r = next((i for i in range(m) if basis[i] not in final and rows[i][col]), -1)
-            if r < 0:
-                raise RuntimeError("the solution's basis is singular")
-            _pivot(rows, dens, basis, r, col)
-
     top = lp.rhs[k]
     slack = n + k
     red = rows[m]
     segments: list[Segment] = []
     hi = top
     while True:
-        r = -1
-        best_b = best_a = 0
-        for i in range(m):
-            a = rows[i][slack]
-            if a > 0:
-                b = rows[i][rhs]
-                if r < 0 or b * best_a < best_b * a or (
-                        b * best_a == best_b * a and basis[i] < basis[r]):
-                    r, best_b, best_a = i, b, a
-        lo = ZERO if r < 0 else max(ZERO, top - Fraction(best_b, best_a))
+        r = _ratio_test(rows, basis, slack, rhs)
+        lo = ZERO if r < 0 else max(ZERO, top - Fraction(rows[r][rhs], rows[r][slack]))
         if lo < hi:
             segment, dual, ends = _segment(rows, dens, basis, n, k, top, lo, hi)
             _check_segment(work, cost, cost_den, k, segment, dual, ends)
@@ -428,22 +411,29 @@ def _run_simplex(rows, dens, basis, cost, cost_den, n_enterable):
                     break
             if pivot_col < 0:
                 return red, dens[m]
-            # Ratio test: rhs_i / a_i, whose row denominators cancel.
-            pivot_row = -1
-            best_b = best_a = 0
-            for i in range(m):
-                a = rows[i][pivot_col]
-                if a > 0:
-                    b = rows[i][rhs]
-                    if pivot_row < 0 or b * best_a < best_b * a or (
-                            b * best_a == best_b * a and basis[i] < basis[pivot_row]):
-                        pivot_row, best_b, best_a = i, b, a
+            pivot_row = _ratio_test(rows, basis, pivot_col, rhs)
             if pivot_row < 0:
                 return None
             _pivot(rows, dens, basis, pivot_row, pivot_col)
     finally:
         rows.pop()
         dens.pop()
+
+
+def _ratio_test(rows, basis, col, rhs) -> int:
+    """Bland's ratio test on column ``col``: the row with the least
+    rhs_i / a_i over a_i > 0, ties to the smaller basic column; -1 if no
+    entry is positive.  The row denominators cancel in the comparison."""
+    r = -1
+    best_b = best_a = 0
+    for i in range(len(basis)):
+        a = rows[i][col]
+        if a > 0:
+            b = rows[i][rhs]
+            if r < 0 or b * best_a < best_b * a or (
+                    b * best_a == best_b * a and basis[i] < basis[r]):
+                r, best_b, best_a = i, b, a
+    return r
 
 
 def _pivot(rows, dens, basis, pr, pc) -> None:

@@ -89,7 +89,7 @@ def _default_levels(sit: Situation, demands, i) -> list[Fraction]:
     levels = [ZERO, demands[i] / 2, demands[i], sit.cap]
     if sum(demands, ZERO) > sit.cap:
         # truthful rationing water level, a natural kink of the CEA allocation
-        awards = bankruptcy.constrained_equal_awards(sit.cap, demands)
+        awards = allocate(bankruptcy.CEA, demands, sit.cap)
         levels.append(max(awards))
     return levels
 

@@ -6,10 +6,11 @@ per-permit tax and the emission cap.  Coalitions pool endowments.
 
 Everything a coalition S earns comes from one certified revenue curve per
 coalition: R_S(z), its best sales revenue holding z permits, is concave and
-piecewise linear in z.  One exact LP at a permit level where the permit row
-is slack, then ``lp.sweep`` down to z = 0, gives its segments; each is
-certified before it is kept.  A revenue is a bisection and an
-interpolation, and the demand is the least maximiser of R_S(z) - tax * z.
+piecewise linear in z.  ``lp.sweep`` solves one exact LP at a permit level
+where the permit row is slack and walks the solver's own tableau down to
+z = 0, which gives its segments; each is certified before it is kept.  A
+revenue is a bisection and an interpolation, and the demand is the least
+maximiser of R_S(z) - tax * z.
 Each situation memoises its curves on itself (not a field), so they are
 freed with it.
 """
@@ -23,7 +24,7 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Iterable
 
-from .lp import LE, OPTIMAL, LpSolution, Segment, as_fraction, linear_program, solve, sweep
+from .lp import LE, LpSolution, Segment, as_fraction, linear_program, solve, sweep
 
 ZERO = Fraction(0)
 
@@ -157,10 +158,7 @@ def _curve(sit: Situation, fs: frozenset[int]) -> list[Segment]:
             (pi * min(b / a for a, b in zip(column, stocks) if a > 0)
              for pi, *column in zip(sit.permit_row, *sit.resource_rows)), ZERO)
         program = _revenue_program(sit, stocks, top)
-        sol = solve(program)
-        if sol.status != OPTIMAL:  # the permit row is positive, so always bounded
-            raise RuntimeError(f"revenue program unexpectedly {sol.status}")
-        curve = sit._memo[fs] = sweep(program, sol, len(stocks))
+        curve = sit._memo[fs] = sweep(program, len(stocks))
     return curve
 
 

@@ -124,14 +124,13 @@ def parse_grid(spec: Union[str, list, None]) -> Optional[tuple[Fraction, ...]]:
     if isinstance(spec, str):
         if spec.strip().lower() == "auto":
             return None
-        parts = [p.strip() for p in spec.split(",") if p.strip()]
-        if not parts:
-            raise ScenarioError("grid: empty specification")
-        levels = tuple(_exact(p, "grid") for p in parts)
+        levels = tuple(_exact(p.strip(), "grid") for p in spec.split(",") if p.strip())
     elif isinstance(spec, list):
         levels = tuple(_exact(v, f"grid[{j}]") for j, v in enumerate(spec))
     else:
         raise ScenarioError("grid: expected 'auto', a comma list, or a JSON list")
+    if not levels:
+        raise ScenarioError("grid: empty specification")
     if any(v < 0 for v in levels):
         raise ScenarioError("report levels must be nonnegative")
     return levels
@@ -180,6 +179,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def dump_scenario(scenario: Scenario, path) -> None:
+    if path == "":
+        raise ScenarioError("cannot write a scenario to an empty path")
     path = Path(path)
     try:
         path.write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")

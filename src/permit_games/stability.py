@@ -20,7 +20,6 @@ from .games import CharacteristicGame, lex_coalitions
 from .lp import GE, EQ, LE, OPTIMAL, as_fraction, linear_program, solve
 from .partition_games import (
     MINUS,
-    PartitionGame,
     build_game,
     pessimistic_game,
     resource_game,
@@ -215,11 +214,8 @@ class PipelineReport:
     scarce: bool                   # grand demand exceeds the cap
     claims_exceed_cap: bool        # individual demands sum beyond the cap
     permit_split: tuple[Fraction, ...]
-    game: Optional[PartitionGame] = None
-    resource_minus: Optional[CharacteristicGame] = None
     split_membership: Optional[CoreMembership] = None
     resource_core: Optional[CoreVerdict] = None
-    standalone_rows: Optional[tuple] = None   # (coalition, pooled award, standalone share, ok)
     standalone_ok: Optional[bool] = None
     pairwise_floor_ok: Optional[bool] = None  # min pair demand sum >= 2 cap / n
     cea_conditions_ok: Optional[bool] = None
@@ -256,23 +252,15 @@ def stable_pipeline(sit: Situation, rule: str, limit: int = DEFAULT_LIMIT) -> Pi
         return report
 
     game = build_game(sit, rule, limit=limit)
-    report.game = game
     minus = resource_game(game, MINUS)
-    report.resource_minus = minus
     report.split_membership = in_core(minus, split)
     report.resource_core = core_nonempty(minus)
 
-    rows = []
     everyone = frozenset(firms)
     by_firm = dict(zip(firms, split))
-    for fs in lex_coalitions(firms):
-        if fs == everyone:
-            continue
-        pooled = sum((by_firm[i] for i in fs), ZERO)
-        standalone = game.share(fs, block_with_singletons(fs, n))
-        rows.append((fs, pooled, standalone, pooled >= standalone))
-    report.standalone_rows = tuple(rows)
-    report.standalone_ok = all(ok for *_, ok in rows)
+    report.standalone_ok = all(
+        sum((by_firm[i] for i in fs), ZERO) >= game.share(fs, block_with_singletons(fs, n))
+        for fs in lex_coalitions(firms) if fs != everyone)
 
     if not report.split_membership.ok:
         report.verdict = "permit-allocation-unstable"

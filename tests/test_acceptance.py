@@ -17,7 +17,6 @@ from permit_games.bankruptcy import (
     RULES,
     apply_rule,
     bankruptcy_game,
-    constrained_equal_awards,
 )
 from permit_games.mechanism import allocate, dominance_check, make_config, mechanism_payoff
 from permit_games.partition_games import (
@@ -307,11 +306,11 @@ def test_criterion_10_rule_axioms_and_game_cores():
                     failures += 1
             if not in_core(game, awards).ok:
                 failures += 1
-        cea = constrained_equal_awards(prob.estate, prob.claims)
+        cea = allocate("cea", prob.claims, prob.estate)
         for k, j in itertools.combinations(range(len(prob.claims)), 2):
             merged = [d for idx, d in enumerate(prob.claims) if idx not in (k, j)]
             merged.append(prob.claims[k] + prob.claims[j])
-            if constrained_equal_awards(prob.estate, merged)[-1] > cea[k] + cea[j]:
+            if allocate("cea", merged, prob.estate)[-1] > cea[k] + cea[j]:
                 failures += 1
     report(10, "rule axioms, CEA merging proofness and game-core membership "
                "hold on 500 random problems", failures == 0,

@@ -14,11 +14,7 @@ from permit_games.bankruptcy import (
     allocate,
     apply_rule,
     bankruptcy_game,
-    constrained_equal_awards,
-    constrained_equal_losses,
-    proportional,
     ration,
-    talmud,
 )
 from permit_games.partition_games import build_game
 from permit_games.stability import in_core
@@ -88,7 +84,7 @@ def test_talmud_meets_half_claims_cea_at_breakpoint():
     for _ in range(50):
         claims = [support.rand_fraction(rng, 0, 12) for _ in range(rng.randint(1, 5))]
         half = sum(claims) / 2
-        assert talmud(half, claims) == constrained_equal_awards(half, [d / 2 for d in claims])
+        assert allocate("tal", claims, half) == allocate("cea", [d / 2 for d in claims], half)
 
 
 @pytest.mark.parametrize("rule", RULES)
@@ -115,11 +111,11 @@ def test_cea_merging_proofness_random():
         prob = support.rand_bankruptcy_problem(rng)
         if len(prob.claims) < 2:
             continue
-        awards = constrained_equal_awards(prob.estate, prob.claims)
+        awards = allocate("cea", prob.claims, prob.estate)
         for k, j in itertools.combinations(range(len(prob.claims)), 2):
             merged_claims = [d for idx, d in enumerate(prob.claims) if idx not in (k, j)]
             merged_claims.append(prob.claims[k] + prob.claims[j])
-            merged = constrained_equal_awards(prob.estate, merged_claims)
+            merged = allocate("cea", merged_claims, prob.estate)
             assert merged[-1] <= awards[k] + awards[j]
 
 
@@ -167,7 +163,7 @@ def test_cel_loss_level_oracle():
     rng = random.Random(31)
     for _ in range(40):
         prob = support.rand_bankruptcy_problem(rng)
-        awards = constrained_equal_losses(prob.estate, prob.claims)
+        awards = allocate("cel", prob.claims, prob.estate)
         losses = sorted({d - a for d, a in zip(prob.claims, awards) if a > 0})
         if losses:
             assert len(losses) == 1  # everyone served loses the same amount
@@ -241,8 +237,6 @@ def _oracle_tal(estate, claims):
 
 
 ORACLES = {"cea": _oracle_cea, "cel": _oracle_cel, "prop": _oracle_prop, "tal": _oracle_tal}
-PUBLIC = {"cea": constrained_equal_awards, "cel": constrained_equal_losses,
-          "prop": proportional, "tal": talmud}
 
 
 def _oracle_allocate(rule, claims, cap):
@@ -287,8 +281,6 @@ def test_integer_kernel_matches_the_fraction_oracle(rule):
     for claims, cap in problems:
         expected = _oracle_allocate(rule, claims, cap)
         assert allocate(rule, claims, cap) == expected, (claims, cap)
-        if sum(claims) >= cap:
-            assert PUBLIC[rule](cap, claims) == ORACLES[rule](cap, claims), (claims, cap)
         rationed += sum(claims) > cap
     assert len(problems) >= 200 and rationed >= 150
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from permit_games import bankruptcy, mechanism
-from permit_games.bankruptcy import RULES, constrained_equal_awards
+from permit_games.bankruptcy import RULES
 from permit_games.mechanism import (
     Deviation,
     DominanceReport,

@@ -167,9 +167,9 @@ def test_lp_memo_is_freed_with_its_economy():
 def test_second_tabulation_solves_no_lp(monkeypatch):
     sit = _reference_economy()
     solved = []
-    real_solve = production.solve
+    real_solve = lp.solve
     monkeypatch.setattr(
-        production, "solve", lambda program: solved.append(program) or real_solve(program))
+        lp, "solve", lambda program: solved.append(program) or real_solve(program))
     first = build_game(sit, "cea")
     assert len(solved) == 7  # one revenue curve per coalition
     solved.clear()

@@ -278,11 +278,22 @@ def test_dump_scenario_to_an_unwritable_path_exits_two(scenario_path, tmp_path, 
     (["trade", "--target", "1,2"], "split and target must have one entry per firm"),
     (["trade", "--target", "1,2,3"], "target is not efficient"),
     (["mechanism", "--grid=-1,2"], "report levels must be nonnegative"),
+    (["mechanism", "--grid="], "grid: empty specification"),
+    (["trade", "--price="], "--price: not an exact number"),
+    (["trade", "--target="], "--target: not an exact number"),
+    (["demands", "--dump-scenario="], "empty path"),
 ])
 def test_bad_targets_and_grids_exit_two(scenario_path, capsys, argv, message):
     code, out, err = run_cli(capsys, *argv, "--scenario", str(scenario_path))
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_empty_grid_in_scenario_options_exits_two(tmp_path, capsys):
+    path = write_scenario(tmp_path, {**MINIMAL, "options": {"grid": []}})
+    code, out, err = run_cli(capsys, "mechanism", "--scenario", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: grid: empty specification\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--price", "abc"), ("--target", "1,x,3")])
