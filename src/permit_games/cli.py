@@ -146,6 +146,11 @@ def _limit(scenario, args) -> int:
 
 def _cmd_demands(scenario, args):
     sit = scenario.situation
+    limit = _limit(scenario, args)
+    if sit.n_firms > limit:
+        raise PartitionLimitError(
+            f"demands of {sit.n_firms} firms ({2 ** sit.n_firms - 1} coalitions) exceed "
+            f"the partition limit of {limit} firms; raise it with --partition-limit")
     report = Report()
     sec = report.section(f"optimal permit demands [{scenario.name}]",
                          ["coalition", "demand"])

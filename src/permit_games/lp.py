@@ -29,18 +29,28 @@ complementary slackness, strong duality and dual feasibility, the last
 recomputed from the standard-form rows rather than read off the tableau.
 A failed check raises RuntimeError, also under ``python -O``.
 
-``sweep`` solves a program and continues on the solver's own final
-tableau, walking one row's right-hand side down to 0 by dual simplex pivots
-(parametric programming, Gal 1979), so the optimum as a function of that
-right-hand side comes out as exact segments, each certified like an optimum
-at both of its ends.
+A ``BasisTable`` serves a family of programs max c.x s.t. A x <= b, x >= 0
+that share c and A and differ in b (parametric programming, Gal 1979).  It
+keeps each optimal basis it meets with what does not depend on b: the
+tableau B^-1 [A | I], the reduced costs and the dual y = c_B B^-1, whose
+feasibility is checked once, against the rows of A, when the basis enters.
+Its ``sweep`` walks one row's right-hand side down to 0 by dual simplex
+pivots, so the optimum as a function of that right-hand side comes out as
+exact segments.  The walk starts at the first table basis with B^-1 b >= 0,
+which is then optimal, and calls ``solve`` only when no basis qualifies.
+Each pivot is stored as an edge of the basis it leaves, so it is taken and
+its new basis checked only once.  Every segment is certified at both of its
+ends, in integers, against the rows: x >= 0, A x <= b, complementary
+slackness and strong duality.  ``sweep`` walks a single program on a table
+of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 LE = "<="
@@ -139,9 +149,8 @@ class LpSolution:
     for a maximization a <=-row has a nonnegative multiplier and a >=-row a
     nonpositive one.  At an optimum the pair (primal, dual) satisfies
     complementary slackness exactly.  At an optimum, ``_tableau`` holds the
-    solver's final state for ``sweep`` to continue on: the tableau rows with
-    the reduced costs last, their denominators, the basis, the standard-form
-    rows, and the objective's numerators over their denominator.
+    solver's final state for a ``BasisTable`` to take in: the tableau rows
+    with the reduced costs last, their denominators and the basis.
     """
 
     status: str
@@ -243,11 +252,12 @@ def solve(lp: LinearProgram) -> LpSolution:
         objective_value=objective_value,
         primal=tuple(primal),
         dual=dual,
-        _tableau=(rows, dens, basis, work, obj, obj_den),
+        _tableau=(rows, dens, basis),
     )
     xs, x_den = _integer_row(solution.primal)
-    _self_check(work, obj, obj_den, y, red_den,
-                [([row.rhs for row in work], 1, xs, x_den, objective_value)])
+    _check_dual(work, obj, obj_den, y, red_den)
+    _check_points(work, obj, obj_den, y, red_den, [([row.rhs for row in work], 1, xs, x_den)])
+    _check_value(objective_value, obj, obj_den, xs, x_den)
     return solution
 
 
@@ -261,105 +271,200 @@ class Segment(NamedTuple):
     slope: Fraction
 
 
+_SWEEP_NEEDS = ("sweep needs <= rows, nonnegative right-hand sides and a positive one "
+                "on the swept row")
+
+
 def sweep(lp: LinearProgram, k: int) -> list[Segment]:
     """The optimum of ``lp`` as its row ``k``'s right-hand side z falls from
-    its value in ``lp`` to 0: segments of positive length in increasing z.
+    its value in ``lp`` to 0, walked on a table of its own (``BasisTable``)."""
+    if any(sense != LE for sense in lp.senses):
+        raise ValueError(_SWEEP_NEEDS)
+    return BasisTable(lp.objective, lp.rows).sweep(*_integer_row(lp.rhs), k)
 
-    Every row must be ``<=`` with a nonnegative right-hand side, so the
-    origin stays feasible down to z = 0, and row k's must be positive.  The
-    program must be bounded, and row k slack at its optimum, so the top
-    segment has slope 0 and holds for every z above its lower end too.
 
-    ``solve`` finds that optimum and the walk continues on its final
-    tableau.  Row i keeps its right-hand side at the top value t, so its
-    basic variable at z is rhs_i - (t - z) beta_i, where beta is the column
-    of row k's slack; the next breakpoint is t - rhs_i / beta_i, least over
-    beta_i > 0, and one dual simplex pivot crosses it.  Ties follow Bland:
-    the least basic index leaves, the least column enters.  Each segment is
-    certified at both ends before it is kept; a failure raises RuntimeError.
+class _Basis(NamedTuple):
+    """One certified basis of a ``BasisTable``: the tableau B^-1 [A | I] as
+    integer rows over positive denominators, the basic column of each row,
+    the reduced costs c - yA over ``y_den`` and the dual y = c_B B^-1 over
+    ``y_den``.  ``edges`` maps a leaving row to the basis its dual simplex
+    pivot reaches."""
+
+    basis: tuple[int, ...]
+    rows: list[list[int]]
+    dens: list[int]
+    red: list[int]
+    y: list[int]
+    y_den: int
+    edges: dict
+
+
+class BasisTable:
+    """The optimal bases of max c.x subject to A x <= b, x >= 0, shared by
+    every right-hand side b >= 0 that is swept on it.
+
+    A basis enters the table once, from ``solve`` or by a dual simplex
+    pivot, and its dual is then checked feasible against the rows of A.
+    Nothing in an entry depends on b, so a basis whose B^-1 b is
+    nonnegative is optimal for that b with no further pivot, and a pivot
+    taken once is an edge that every later sweep follows.
     """
-    n, m = lp.n_vars, lp.n_rows
-    if (any(sense != LE for sense in lp.senses) or any(b < 0 for b in lp.rhs)
-            or lp.rhs[k] <= 0):
-        raise ValueError("sweep needs <= rows, nonnegative right-hand sides and a "
-                         "positive one on the swept row")
-    solution = solve(lp)
-    if solution.status != OPTIMAL:
-        raise RuntimeError(f"cannot sweep a program that is {solution.status}")
-    # With <= rows only, the columns are structural | slack | rhs, and the
-    # reduced costs are row m, so every pivot updates them.
-    rows, dens, basis, work, cost, cost_den = solution._tableau
-    rhs = n + m
-    top = lp.rhs[k]
-    slack = n + k
-    red = rows[m]
-    segments: list[Segment] = []
-    hi = top
-    while True:
-        r = _ratio_test(rows, basis, slack, rhs)
-        lo = ZERO if r < 0 else max(ZERO, top - Fraction(rows[r][rhs], rows[r][slack]))
-        if lo < hi:
-            segment, dual, ends = _segment(rows, dens, basis, n, k, top, lo, hi)
-            _check_segment(work, cost, cost_den, k, segment, dual, ends)
-            segments.append(segment)
-            hi = lo
-        if lo == 0:
-            break
-        # Dual ratio test: row r's basic variable turns negative below lo.
-        prow = rows[r]
+
+    def __init__(self, objective: Sequence[Fraction], rows: Sequence[Sequence[Fraction]]):
+        m = len(rows)
+        self._program = LinearProgram(tuple(objective), tuple(map(tuple, rows)),
+                                      (LE,) * m, (ZERO,) * m)
+        self._work = [_std_row(row, ZERO, LE) for row in self._program.rows]
+        self._cost, self._cost_den = _integer_row(self._program.objective)
+        self._bases: dict[tuple[int, ...], _Basis] = {}
+
+    def __len__(self) -> int:
+        return len(self._bases)
+
+    def sweep(self, rhs: Sequence[int], den: int, k: int) -> list[Segment]:
+        """The optimum as row ``k``'s right-hand side z falls from its top
+        value to 0, when row i's right-hand side is ``rhs[i] / den``:
+        segments of positive length in increasing z.
+
+        The program must be bounded, and row k slack at its optimum at the
+        top, so the top segment has slope 0 and holds for every z above its
+        lower end too.  The walk starts at the first table basis that is
+        feasible at the top, or at the basis ``solve`` finds when none is.
+        A basis with row i's basic variable rhs_i - (t - z) beta_i at z,
+        where beta is the column of row k's slack and t the top, is optimal
+        down to the breakpoint t - rhs_i / beta_i, least over beta_i > 0,
+        and its edge at that row crosses the breakpoint.  Ties follow
+        Bland: the least basic index leaves, the least column enters.  Each
+        segment is certified at both ends before it is kept; a failure
+        raises RuntimeError.
+        """
+        n = self._program.n_vars
+        if den <= 0 or any(b < 0 for b in rhs) or rhs[k] <= 0:
+            raise ValueError(_SWEEP_NEEDS)
+        entry = next((e for e in self._bases.values()
+                      if all(v >= 0 for v in _basic_values(e, rhs, n))), None)
+        if entry is None:
+            solution = solve(replace(self._program, rhs=tuple(Fraction(b, den) for b in rhs)))
+            if solution.status != OPTIMAL:
+                raise RuntimeError(f"cannot sweep a program that is {solution.status}")
+            rows, dens, basis = solution._tableau
+            entry = self._enter([row[:-1] for row in rows], dens, basis)
+        # Row i's right-hand side over den_i * den, as _check_segment reads it.
+        b = [bi * row.den for bi, row in zip(rhs, self._work)]
+        slack = n + k
+        segments: list[Segment] = []
+        # A level is z with its distance t - z from the top as (p, q) = p / q.
+        high = (Fraction(rhs[k], den), 0, 1)
+        while True:
+            values = _basic_values(entry, rhs, n)
+            column = [row[slack] for row in entry.rows]
+            r = _ratio_test(entry.basis, values, column)
+            # Row r's basic variable reaches 0 at t - z = values_r / (den * column_r).
+            bottom = r < 0 or values[r] >= rhs[k] * column[r]
+            if bottom:
+                low = (ZERO, rhs[k], den)
+            else:
+                q = den * column[r]
+                low = (Fraction(rhs[k] * column[r] - values[r], q), values[r], q)
+            if low[1] * high[2] > high[1] * low[2]:
+                segment, ends = _segment(entry, rhs, den, values, n, k, low, high)
+                _check_segment(self._work, self._cost, self._cost_den, k, b, den,
+                               segment, entry, ends)
+                segments.append(segment)
+                high = low
+            if bottom:
+                break
+            following = entry.edges.get(r)
+            if following is None:
+                following = entry.edges[r] = self._edge(entry, r, low[0])
+            entry = following
+        if segments[0].slope != 0:
+            raise RuntimeError("the swept row is not slack at the top")
+        segments.reverse()
+        return segments
+
+    def _edge(self, entry: _Basis, r: int, lo: Fraction) -> _Basis:
+        """The basis that row ``r``'s dual ratio test reaches from ``entry``:
+        the least column with the least |red_j / a_j| over a_j < 0 enters."""
+        prow, red = entry.rows[r], entry.red
         col = -1
         best_d = best_a = 0
-        for j in range(rhs):
-            a = prow[j]
+        for j, a in enumerate(prow):
             if a < 0 and (col < 0 or red[j] * best_a < best_d * a):
                 col, best_d, best_a = j, red[j], a
         if col < 0:
             raise RuntimeError(f"no column can enter at {lo}, yet the origin is feasible")
+        rows = [list(row) for row in entry.rows]
+        rows.append(list(red))
+        dens = [*entry.dens, entry.y_den]
+        basis = list(entry.basis)
         _pivot(rows, dens, basis, r, col)
-    if segments[0].slope != 0:
-        raise RuntimeError("the swept row is not slack at the top")
-    segments.reverse()
-    return segments
+        known = self._bases.get(tuple(sorted(basis)))
+        return known if known is not None else self._enter(rows, dens, basis)
+
+    def _enter(self, rows, dens, basis) -> _Basis:
+        """Add the basis of a tableau (reduced costs last, no right-hand
+        side column) to the table once its dual is checked feasible."""
+        entry = _read_basis(rows, dens, basis, self._program.n_vars)
+        _check_dual(self._work, self._cost, self._cost_den, entry.y, entry.y_den)
+        self._bases[tuple(sorted(entry.basis))] = entry
+        return entry
 
 
-def _segment(rows, dens, basis, n, k, top, lo, hi):
-    """Read the segment [lo, hi] of the current basis off the tableau, with
-    its certificate in integers: the standard-form duals (numerators, den)
-    and the primal at lo and at hi, each as (numerators, den)."""
+def _read_basis(rows, dens, basis, n) -> _Basis:
+    """A table entry from a tableau whose last row is the reduced costs.  A
+    unit column costs nothing, so its reduced cost is -y_i."""
     m = len(basis)
-    slack, rhs = n + k, n + m
-    red, red_den = rows[m], dens[m]
-    basic = [(i, col) for i, col in enumerate(basis) if col < n]
-    common = lcm(*(dens[i] for i, _ in basic))
-    deltas = top - lo, top - hi  # row i's basic variable is rhs_i - delta * beta_i
+    red = rows[m]
+    return _Basis(tuple(basis), rows[:m], dens[:m], red,
+                  [-red[n + i] for i in range(m)], dens[m], {})
+
+
+def _basic_values(entry: _Basis, rhs: Sequence[int], n: int) -> list[int]:
+    """B^-1 b for row i's right-hand side ``rhs[i] / den``: row r's basic
+    variable as a numerator over ``entry.dens[r] * den``."""
+    return [sum(map(mul, row[n:], rhs)) for row in entry.rows]
+
+
+def _segment(entry: _Basis, rhs, den, values, n, k, low, high):
+    """Read the segment between two levels (z, p, q), with t - z = p / q
+    for the top t, off a basis's table entry, with the primal at each end
+    in integers as (numerators, den).  ``values`` is B^-1 b at the top, as
+    ``_basic_values`` gives it."""
+    dens, slack = entry.dens, n + k
+    basic = [(r, col) for r, col in enumerate(entry.basis) if col < n]
+    common = lcm(*(dens[r] for r, _ in basic))
     ends = []
-    for delta in deltas:
-        dn, dd = delta.numerator, delta.denominator
+    for _, p, q in (low, high):
+        # Row r's basic variable is values_r / (dens_r den) - (p / q) beta_r / dens_r.
         xs = [0] * n
-        for i, col in basic:
-            xs[col] = (rows[i][rhs] * dd - dn * rows[i][slack]) * (common // dens[i])
-        ends.append((xs, common * dd))
-    # The reduced cost of row i's slack is -y_i, and the cost row's
-    # right-hand side is minus the objective at the top.
-    segment = Segment(lo, hi, (deltas[0] * red[slack] - red[rhs]) / red_den,
-                      Fraction(-red[slack], red_den))
-    return segment, ([-red[n + i] for i in range(m)], red_den), ends
+        for r, col in basic:
+            xs[col] = (values[r] * q - p * den * entry.rows[r][slack]) * (common // dens[r])
+        ends.append((xs, common * den * q))
+    y, y_den = entry.y, entry.y_den
+    _, p, q = low
+    value = Fraction(sum(map(mul, y, rhs)) * q - y[k] * p * den, y_den * den * q)
+    return Segment(low[0], high[0], value, Fraction(y[k], y_den)), ends
 
 
-def _check_segment(work, cost, cost_den, k, segment, dual, ends) -> None:
-    """Certify a segment at both of its ends against the standard-form rows."""
-    y, y_den = dual
+def _check_segment(work, cost, cost_den, k, b, b_den, segment, entry, ends) -> None:
+    """Certify a segment at both of its ends against the standard-form rows,
+    with the entry's dual, whose feasibility was checked on entry; row i's
+    right-hand side is ``b[i] / (den_i * b_den)`` except on the swept row.
+    The value at lo is checked against the primal; the value at hi then
+    follows, since b moves only on row k, whose dual is the checked slope."""
+    y, y_den = entry.y, entry.y_den
     slope = segment.slope
     if slope.numerator * y_den != y[k] * slope.denominator:
         raise RuntimeError("segment slope is not the swept row's dual")
-    values = segment.value, segment.value + slope * (segment.hi - segment.lo)
     points = []
-    for z, value, (xs, x_den) in zip((segment.lo, segment.hi), values, ends):
+    for z, (xs, x_den) in zip((segment.lo, segment.hi), ends):
         zn, zd = z.numerator, z.denominator
-        b = [row.rhs * zd for row in work]
-        b[k] = zn * work[k].den
-        points.append((b, zd, xs, x_den, value))
-    _self_check(work, cost, cost_den, y, y_den, points)
+        bz = [bi * zd for bi in b]
+        bz[k] = zn * b_den * work[k].den
+        points.append((bz, b_den * zd, xs, x_den))
+    _check_points(work, cost, cost_den, y, y_den, points)
+    _check_value(segment.value, cost, cost_den, *ends[0])
 
 
 def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -411,7 +516,8 @@ def _run_simplex(rows, dens, basis, cost, cost_den, n_enterable):
                     break
             if pivot_col < 0:
                 return red, dens[m]
-            pivot_row = _ratio_test(rows, basis, pivot_col, rhs)
+            pivot_row = _ratio_test(basis, (row[rhs] for row in rows),
+                                    (row[pivot_col] for row in rows))
             if pivot_row < 0:
                 return None
             _pivot(rows, dens, basis, pivot_row, pivot_col)
@@ -420,19 +526,16 @@ def _run_simplex(rows, dens, basis, cost, cost_den, n_enterable):
         dens.pop()
 
 
-def _ratio_test(rows, basis, col, rhs) -> int:
-    """Bland's ratio test on column ``col``: the row with the least
-    rhs_i / a_i over a_i > 0, ties to the smaller basic column; -1 if no
-    entry is positive.  The row denominators cancel in the comparison."""
+def _ratio_test(basis, values, column) -> int:
+    """Bland's ratio test: the row i with the least values_i / column_i over
+    column_i > 0, ties to the smaller basic column; -1 if no entry is
+    positive.  Row i's two entries share a denominator, which cancels."""
     r = -1
     best_b = best_a = 0
-    for i in range(len(basis)):
-        a = rows[i][col]
-        if a > 0:
-            b = rows[i][rhs]
-            if r < 0 or b * best_a < best_b * a or (
-                    b * best_a == best_b * a and basis[i] < basis[r]):
-                r, best_b, best_a = i, b, a
+    for i, (col, b, a) in enumerate(zip(basis, values, column)):
+        if a > 0 and (r < 0 or b * best_a < best_b * a or (
+                b * best_a == best_b * a and col < basis[r])):
+            r, best_b, best_a = i, b, a
     return r
 
 
@@ -477,24 +580,22 @@ def _eliminate(row, den, prow, pden, pc, support) -> int:
     return den
 
 
-def _self_check(work, cost, cost_den, y, y_den, points) -> None:
-    """Exact certificate checks; a violation is a solver bug.
-
-    ``work`` holds the standard-form rows as built before the first pivot,
-    ``cost`` the objective's numerators over ``cost_den`` and ``y`` the
-    standard-form duals over ``y_den``.  Each point (b, b_den, xs, x_den,
-    value) is a primal xs / x_den that must be optimal, with objective
-    ``value``, when row i's right-hand side is b_i / (den_i * b_den).
-    Primal feasibility, complementary slackness and strong duality hold for
-    y = c_B B^-1 at any feasible basis.  Dual feasibility, recomputed here
-    from the rows and not read from the tableau, is what proves the basis
-    optimal; it does not depend on b, so it is checked once for all points.
-    """
-    # Dual feasibility: c_j - y.A_j <= 0 on every structural and slack column j.
-    # Row i is over work[i].den, so weight y_i by L / den_i for a common L.
+def _weights(work, y, y_den):
+    """y_i weighted by L / den_i for a common L, since row i is over
+    work[i].den; y.A_j is then the weighted sum over the returned scale."""
     common = lcm(*(row.den for row in work))
-    weights = [yi * (common // row.den) for yi, row in zip(y, work)]
-    scale = y_den * common  # y.A_j == price / scale
+    return [yi * (common // row.den) for yi, row in zip(y, work)], y_den * common
+
+
+def _check_dual(work, cost, cost_den, y, y_den) -> None:
+    """Dual feasibility of y = c_B B^-1, the standard-form duals over
+    ``y_den``, recomputed from the standard-form rows ``work`` and the
+    objective's numerators ``cost`` over ``cost_den``, not read from the
+    tableau.  It proves optimal every feasible primal that meets y in
+    complementary slackness and strong duality, and it does not depend on
+    the right-hand side.  A violation is a solver bug: RuntimeError."""
+    # c_j - y.A_j <= 0 on every structural and slack column j.
+    weights, scale = _weights(work, y, y_den)
     for c, cc in enumerate(cost):
         price = sum(w * row.structural[c] for w, row in zip(weights, work) if w)
         if cc * scale > price * cost_den:
@@ -502,9 +603,21 @@ def _self_check(work, cost, cost_den, y, y_den, points) -> None:
     for i, (row, yi) in enumerate(zip(work, y)):
         if (row.sense == LE and yi < 0) or (row.sense == GE and yi > 0):
             raise RuntimeError(f"slack of standard row {i} still improves: not optimal")
-    for b, b_den, xs, x_den, value in points:
+
+
+def _check_points(work, cost, cost_den, y, y_den, points) -> None:
+    """Exact certificate checks of primal points against a dual whose
+    feasibility ``_check_dual`` has checked; a violation is a solver bug.
+
+    Each point (b, b_den, xs, x_den) is a primal xs / x_den that must be
+    optimal when row i's right-hand side is b_i / (den_i * b_den): primal
+    feasibility, complementary slackness with y, and strong duality,
+    c.x == y.b.
+    """
+    weights, scale = _weights(work, y, y_den)
+    for b, b_den, xs, x_den in points:
         for i, (row, bi) in enumerate(zip(work, b)):
-            lhs = sum(a * v for a, v in zip(row.structural, xs)) * b_den
+            lhs = sum(map(mul, row.structural, xs)) * b_den
             rhs = bi * x_den  # both sides over den_i * x_den * b_den
             sense = row.sense
             if not (lhs <= rhs if sense == LE else (lhs >= rhs if sense == GE else lhs == rhs)):
@@ -513,8 +626,12 @@ def _self_check(work, cost, cost_den, y, y_den, points) -> None:
                 raise RuntimeError(f"complementary slackness violated on row {i}")
         if any(v < 0 for v in xs):
             raise RuntimeError("simplex returned a negative primal entry")
-        num, den = value.numerator, value.denominator
-        if sum(w * bi for w, bi in zip(weights, b)) * den != num * scale * b_den:
+        # c.x is over cost_den * x_den, y.b over scale * b_den.
+        if sum(map(mul, cost, xs)) * scale * b_den != sum(map(mul, weights, b)) * cost_den * x_den:
             raise RuntimeError("strong duality failed")
-        if sum(c * v for c, v in zip(cost, xs)) * den != num * cost_den * x_den:
-            raise RuntimeError("primal objective differs from the reported value")
+
+
+def _check_value(value: Fraction, cost, cost_den, xs, x_den) -> None:
+    """The reported objective ``value`` is c.x at the primal xs / x_den."""
+    if sum(map(mul, cost, xs)) * value.denominator != value.numerator * cost_den * x_den:
+        raise RuntimeError("primal objective differs from the reported value")

@@ -6,13 +6,18 @@ per-permit tax and the emission cap.  Coalitions pool endowments.
 
 Everything a coalition S earns comes from one certified revenue curve per
 coalition: R_S(z), its best sales revenue holding z permits, is concave and
-piecewise linear in z.  ``lp.sweep`` solves one exact LP at a permit level
-where the permit row is slack and walks the solver's own tableau down to
-z = 0, which gives its segments; each is certified before it is kept.  A
+piecewise linear in z.  Every coalition's revenue program has the same
+matrix and prices and differs only in its right-hand side, the pooled
+stocks and the permits, so a situation keeps one ``lp.BasisTable`` for all
+of them.  A curve is that table's sweep of the permit row from a level
+where it is slack down to z = 0.  The sweep reuses the bases and pivots
+that earlier coalitions met, and it solves an LP only when no known basis
+is optimal at the top.  Each segment is certified before it is kept.  A
 revenue is a bisection and an interpolation, and the demand is the least
 maximiser of R_S(z) - tax * z.
-Each situation memoises its curves on itself (not a field), so they are
-freed with it.
+Each situation keeps its curves, its table and the integer stock data the
+right-hand sides come from on itself (not as fields), so they are freed
+with it; the table goes as soon as every coalition has its curve.
 """
 
 from __future__ import annotations
@@ -21,10 +26,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import attrgetter
 from typing import Iterable
 
-from .lp import LE, LpSolution, Segment, as_fraction, linear_program, solve, sweep
+from .lp import (
+    LE, BasisTable, LpSolution, Segment, _integer_row, as_fraction, linear_program, solve)
 
 ZERO = Fraction(0)
 
@@ -139,6 +146,29 @@ class Situation:
         """Revenue curves (certified segments) keyed by coalition."""
         return {}
 
+    @cached_property
+    def _bases(self) -> BasisTable:
+        """The revenue program's certified bases, which every coalition's
+        curve shares: the programs differ only in their right-hand sides.
+        ``_curve`` drops the table once every coalition has its curve."""
+        return BasisTable(self.prices, self.production)
+
+    @cached_property
+    def _stock_units(self) -> tuple:
+        """The integers a coalition's right-hand sides are computed from:
+        resource t's stock of each firm as a numerator over d_t, for each
+        good j the weights w_tj with pi_j / (a_tj d_t) == w_tj / den for its
+        permit use pi_j (0 where a_tj is 0), then den, the factors that
+        bring each d_t and den to their lcm, and the lcm."""
+        stocks, dens = zip(*map(_integer_row, self.endowments))
+        ratios = [[pi / (a * d) if a else ZERO for a, d in zip(column, dens)]
+                  for pi, *column in zip(self.permit_row, *self.resource_rows)]
+        den = lcm(*(w.denominator for column in ratios for w in column))
+        weights = [[w.numerator * (den // w.denominator) for w in column]
+                   for column in ratios]
+        common = lcm(*dens, den)
+        return stocks, weights, den, [common // d for d in (*dens, den)], common
+
 
 def _revenue_program(sit: Situation, stocks: tuple[Fraction, ...], permits: Fraction):
     constraints = [(row, LE, stock) for row, stock in zip(sit.resource_rows, stocks)]
@@ -151,14 +181,16 @@ def _curve(sit: Situation, fs: frozenset[int]) -> list[Segment]:
     the last one holds for every larger quantity."""
     curve = sit._memo.get(fs)
     if curve is None:
-        stocks = sit.coalition_endowment(fs)
+        stocks, weights, den, scales, common = sit._stock_units
+        sums = [sum(row[i - 1] for i in fs) for row in stocks]
         # No plan makes more of good j than min_t stock_t / a_tj, and some
-        # resource is needed by every good, so the permit row is slack at top.
-        top = 1 + sum(
-            (pi * min(b / a for a, b in zip(column, stocks) if a > 0)
-             for pi, *column in zip(sit.permit_row, *sit.resource_rows)), ZERO)
-        program = _revenue_program(sit, stocks, top)
-        curve = sit._memo[fs] = sweep(program, len(stocks))
+        # resource is needed by every good, so the permit row is slack at
+        # top = 1 + sum_j pi_j min_t stock_t / a_tj.
+        top = den + sum(min(s * w for s, w in zip(sums, column) if w) for column in weights)
+        rhs = [v * scale for v, scale in zip((*sums, top), scales)]
+        curve = sit._memo[fs] = sit._bases.sweep(rhs, common, sit.n_resources)
+        if len(sit._memo) == 2 ** sit.n_firms - 1:
+            del sit.__dict__["_bases"]  # every coalition has its curve
     return curve
 
 

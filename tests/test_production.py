@@ -171,7 +171,8 @@ def test_second_tabulation_solves_no_lp(monkeypatch):
     monkeypatch.setattr(
         lp, "solve", lambda program: solved.append(program) or real_solve(program))
     first = build_game(sit, "cea")
-    assert len(solved) == 7  # one revenue curve per coalition
+    assert len(solved) == 3  # one per table miss: 3 of the 7 coalitions
+    assert "_bases" not in vars(sit)  # freed once every coalition has its curve
     solved.clear()
     assert build_game(sit, "cea").values == first.values
     assert solved == []
@@ -264,55 +265,174 @@ def test_two_basic_variables_reach_zero_at_one_breakpoint():
         assert production_revenue(sit, pair, z) == _oracle_revenue(sit, pair, z)
 
 
+def test_table_curves_equal_fresh_sweeps_in_any_order():
+    """A curve read off the shared table is the same function as the sweep of
+    the coalition's program alone, whichever coalitions filled the table."""
+    rng = random.Random(5)
+    reused = 0
+    for sit in _sweep_economies():
+        coalitions = lex_coalitions(sit.firms())
+        alone = {}
+        for fs in coalitions:
+            top = production._curve(sit, fs)[-1].hi
+            assert top == _oracle_top(sit, fs)
+            alone[fs] = lp.sweep(_revenue_program(sit, fs, top), sit.n_resources)
+        orders = [coalitions] + [rng.sample(coalitions, len(coalitions)) for _ in range(3)]
+        for order in orders:
+            fresh = dataclasses.replace(sit)
+            table = fresh._bases
+            for fs in order:
+                known = len(table)
+                curve = production._curve(fresh, fs)
+                reused += len(table) == known
+                breaks = {s.lo for s in curve + alone[fs]} | {curve[-1].hi, alone[fs][-1].hi}
+                assert curve[-1].hi == alone[fs][-1].hi
+                for z in breaks:
+                    assert _value_at(curve, z) == _value_at(alone[fs], z)
+                assert optimal_demand(fresh, fs) == _demand_of(alone[fs], sit.tax)
+    assert reused > 1000  # curves that entered no new basis
+
+
+def _oracle_top(sit, members):
+    """1 + sum_j pi_j min_t stock_t / a_tj, in Fractions."""
+    stocks = sit.coalition_endowment(members)
+    return 1 + sum(pi * min(b / a for a, b in zip(column, stocks) if a > 0)
+                   for pi, *column in zip(sit.permit_row, *sit.resource_rows))
+
+
+def _value_at(segments, z):
+    segment = next(s for s in reversed(segments) if s.lo <= z)
+    return segment.value + segment.slope * (z - segment.lo)
+
+
+def _demand_of(segments, tax):
+    return next(s.lo for s in segments if s.slope <= tax)
+
+
 _REAL_SEGMENT = lp._segment
+_REAL_READ_BASIS = lp._read_basis
+_REAL_SOLVE = lp.solve
+_REAL_SWEEP = lp.BasisTable.sweep
 
 
-def _wrong_slope(segment, dual, ends):
-    return segment._replace(slope=segment.slope + 1), dual, ends
+def _wrong_slope(segment, ends):
+    return segment._replace(slope=segment.slope + 1), ends
 
 
-def _wrong_value(segment, dual, ends):
-    return segment._replace(value=segment.value + 1), dual, ends
+def _wrong_value(segment, ends):
+    return segment._replace(value=segment.value + 1), ends
 
 
-def _wrong_primal(segment, dual, ends):
+def _wrong_primal(segment, ends):
     low, (xs, den) = ends
-    return segment, dual, (low, ([xs[0] + 1, *xs[1:]], den))
+    return segment, (low, ([xs[0] + 1, *xs[1:]], den))
 
 
 CORRUPTIONS = [_wrong_slope, _wrong_value, _wrong_primal]
 
 
-def _corrupting(corrupt):
-    return lambda *args: corrupt(*_REAL_SEGMENT(*args))
+def _corrupt_segments(patch, corrupt, on_hit):
+    """Corrupt every segment of the sweeps that start on a basis the table
+    already held (``on_hit``), or of those that solve for it (table misses).
+    ``patch`` is ``setattr`` or ``monkeypatch.setattr``."""
+    solved = []
+
+    def sweep(table, *args):
+        solved.clear()
+        return _REAL_SWEEP(table, *args)
+
+    def solve(program):
+        solved.append(program)
+        return _REAL_SOLVE(program)
+
+    def segment(*args):
+        real = _REAL_SEGMENT(*args)
+        return corrupt(*real) if on_hit != bool(solved) else real
+
+    patch(lp.BasisTable, "sweep", sweep)
+    patch(lp, "solve", solve)
+    patch(lp, "_segment", segment)
+
+
+def _infeasible_dual(entry):
+    return entry._replace(y=[0] * len(entry.y))
+
+
+def _corrupt_entries(patch, from_pivot):
+    """Give a zero, and so infeasible, dual to every basis that enters a
+    table, or to all but the first: the first comes from ``solve`` and, in
+    the reference economy, the second from a pivot of the same sweep."""
+    read = []
+
+    def read_basis(*args):
+        read.append(args)
+        entry = _REAL_READ_BASIS(*args)
+        return _infeasible_dual(entry) if len(read) > from_pivot else entry
+
+    patch(lp, "_read_basis", read_basis)
+
+
+def _demands_in_lex_order(sit):
+    return [optimal_demand(sit, fs) for fs in lex_coalitions(sit.firms())]
 
 
 @pytest.mark.parametrize("corrupt", CORRUPTIONS)
 def test_a_corrupted_segment_is_refused(monkeypatch, corrupt):
-    monkeypatch.setattr(lp, "_segment", _corrupting(corrupt))
-    with pytest.raises(RuntimeError):
-        optimal_demand(_reference_economy(), [1, 2, 3])
+    for on_hit in (False, True):
+        with monkeypatch.context() as patch:
+            _corrupt_segments(patch.setattr, corrupt, on_hit)
+            with pytest.raises(RuntimeError):
+                _demands_in_lex_order(_reference_economy())
 
 
-@pytest.mark.parametrize("corrupt", CORRUPTIONS)
-def test_a_corrupted_segment_exits_three(monkeypatch, capsys, corrupt):
+@pytest.mark.parametrize("from_pivot", [False, True], ids=["solve", "pivot"])
+def test_an_infeasible_dual_is_refused_when_it_enters_the_table(monkeypatch, from_pivot):
+    sit = _reference_economy()
+    _corrupt_entries(monkeypatch.setattr, from_pivot)
+    with pytest.raises(RuntimeError, match="still improves: not optimal"):
+        _demands_in_lex_order(sit)
+    assert len(sit._bases) == from_pivot
+    assert sit._memo == {}
+
+
+def _example3_demands_exit_three(capsys):
     fixture = Path(cli.__file__).with_name("fixtures") / "example3.json"
-    monkeypatch.setattr(lp, "_segment", _corrupting(corrupt))
     assert cli.main(["demands", "--scenario", str(fixture)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+def test_a_corrupted_segment_exits_three(monkeypatch, capsys, corrupt):
+    for on_hit in (False, True):
+        with monkeypatch.context() as patch:
+            _corrupt_segments(patch.setattr, corrupt, on_hit)
+            _example3_demands_exit_three(capsys)
+
+
+def test_an_infeasible_dual_exits_three(monkeypatch, capsys):
+    _corrupt_entries(monkeypatch.setattr, from_pivot=True)
+    _example3_demands_exit_three(capsys)
+
+
 def test_corrupted_segments_are_refused_under_python_O():
+    # Also a basis with an infeasible dual, refused as it enters the table.
     script = """
 import sys
-from permit_games import lp
-import test_production
-for corrupt in test_production.CORRUPTIONS:
-    lp._segment = test_production._corrupting(corrupt)
+import test_production as t
+for corrupt in t.CORRUPTIONS:
+    for on_hit in (False, True):
+        t._corrupt_segments(setattr, corrupt, on_hit)
+        try:
+            t._demands_in_lex_order(t._reference_economy())
+        except RuntimeError as exc:
+            print("raised", exc)
+t.lp.solve, t.lp._segment, t.lp.BasisTable.sweep = t._REAL_SOLVE, t._REAL_SEGMENT, t._REAL_SWEEP
+for from_pivot in (False, True):
+    t._corrupt_entries(setattr, from_pivot)
     try:
-        test_production.optimal_demand(test_production._reference_economy(), [1, 2, 3])
+        t._demands_in_lex_order(t._reference_economy())
     except RuntimeError as exc:
         print("raised", exc)
 print("optimize", sys.flags.optimize)
@@ -324,4 +444,4 @@ print("optimize", sys.flags.optimize)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[-1] == "optimize 1"
-    assert len(lines) == 4 and all(line.startswith("raised") for line in lines[:3])
+    assert len(lines) == 9 and all(line.startswith("raised") for line in lines[:8])

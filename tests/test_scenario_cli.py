@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -133,6 +134,24 @@ def test_single_firm_demands(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "demands", "--scenario", str(path))
     assert code == 0
     assert out.count("{1}") == 1
+
+
+def test_demands_refuses_more_firms_than_the_partition_limit(tmp_path, capsys):
+    # 11 firms are 2047 coalitions, one over the default limit of 10 firms.
+    data = {
+        "production": [[1, 2], [1, 1]], "endowments": [list(range(1, 12))],
+        "prices": [9, 11], "tax": 2, "cap": 3,
+    }
+    path = write_scenario(tmp_path, data)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "demands", "--scenario", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: demands of 11 firms") and "--partition-limit" in err
+    code, out, _ = run_cli(capsys, "demands", "--scenario", str(path), "--partition-limit", "11")
+    assert code == 0 and out.count("\n{") == 2047
+    path = write_scenario(tmp_path, {**data, "options": {"partition_limit": 11}})
+    assert run_cli(capsys, "demands", "--scenario", str(path))[0] == 0
 
 
 def test_reports_are_byte_identical(scenario_path, capsys):
