@@ -7,12 +7,19 @@ in full under the cap or rations them by the announced rule.  A block's
 payoff is its best profit from its own endowment at the allocated quantity,
 tax included.  Truthfulness checks run exhaustively over finite report grids,
 so they are desk-scale verifications rather than proofs over a continuum.
+
+The checks lean on one fact: a claimant's profit is concave in its permits
+and its true demand d is the least maximiser, so the profit is single-peaked
+at d.  Two rules follow from the integer awards alone.  (a) A claimant
+awarded d has the best profit there is and cannot gain.  (b) A claimant
+rationed to a < d cannot gain from a deviation awarded at most a.  Only a
+deviation with a larger award is valued, so under CEA no award is valued at
+all.  Neither rule assumes that the rule is claims monotonic.
 ``dominance_check`` scales the report grids and the cap once per call to
 integers over one common denominator and rations each grid profile at most
 once, however many claimants read it, with the integer kernel
-``bankruptcy.ration``; it values each claimant's award at most once per
-check.  ``cells_checked`` still counts every (claimant, opponents,
-deviation) cell.
+``bankruptcy.ration``.  ``cells_checked`` still counts every (claimant,
+opponents, deviation) cell, decided or skipped.
 """
 
 from __future__ import annotations
@@ -110,6 +117,20 @@ def mechanism_payoff(sit: Situation, cfg: MechanismConfig,
     return coalition_value(sit, cfg.structure[claimant], awards[claimant])
 
 
+def _check_config(sit: Situation, cfg: MechanismConfig) -> None:
+    """Refuse a config whose true demands are not this economy's, or whose
+    grids hold a negative report: the checks skip cells on the strength of
+    each block's profit peaking at its demand, which says nothing of negative
+    awards.  Explicit checks, so they also run under ``python -O``."""
+    if any(v < 0 for g in cfg.grids for v in g):
+        raise ValueError("report levels must be nonnegative")
+    demands = tuple(optimal_demand(sit, block) for block in cfg.structure)
+    if cfg.true_demands != demands:
+        raise ValueError(
+            f"true demands ({', '.join(map(str, cfg.true_demands))}) are not the "
+            f"optimal demands ({', '.join(map(str, demands))}) of this economy's claimants")
+
+
 @dataclass(frozen=True)
 class Deviation:
     claimant: int
@@ -131,15 +152,31 @@ def dominance_check(sit: Situation, cfg: MechanismConfig,
     """Is truth-telling weakly best against every grid profile of the others?
 
     Exhaustive over the grid product; the first counterexample in claimant /
-    opponent / deviation order is returned.  ``cells_checked`` counts the
-    (claimant, opponent profile, deviation) cells visited, the truthful cell
-    included.  The grids and the cap are scaled once to integers over ``lcm``
-    of their denominators.  Each report profile, at its position in the grid
-    product, is rationed at most once, on first touch, by ``ration`` in those
-    units, and every claimant reads its award from that one (numerators,
-    denominator) result.  Each claimant's award is valued once per check,
-    keyed on its reduced numerator and denominator; payoffs are kept as
-    (numerator, denominator) and compared by cross-multiplication.  Both
+    opponent / deviation order is returned.  ``cells_checked`` counts every
+    (claimant, opponent profile, deviation) cell, the truthful cell included,
+    whether a payoff decided it or a rule below skipped it.  A claimant's
+    profit v(z) is concave and its true demand d is the least maximiser, so v
+    is single-peaked at d, and most cells are decided by integer awards alone:
+
+    (a) a claimant whose truthful award is its demand already has the best
+        profit there is, so its whole row of deviations is checked at once;
+    (b) a claimant rationed to a < d cannot gain from a deviation whose award
+        is at most a, because v does not fall on [0, d]; only a larger award
+        is valued, and the truthful award then too, once.
+
+    Under CEA a larger report never lifts a rationed claimant above the water
+    level, so no award is valued at all.  Neither rule assumes anything of the
+    rule's awards beyond the rationed truthful one, which must not exceed its
+    claim (``RuntimeError``); the true demands must be this economy's and the
+    report levels nonnegative (``ValueError``).
+
+    The grids and the cap are scaled once to integers over ``lcm`` of their
+    denominators.  Each report profile, at its position in the grid product,
+    is rationed at most once, on first touch, by ``ration`` in those units,
+    and every claimant reads its award from that one (numerators,
+    denominator) result.  Each claimant's award is valued at most once per
+    check, keyed on its reduced numerator and denominator; payoffs are kept
+    as (numerator, denominator) and compared by cross-multiplication.  Both
     tables live only for this call; Fractions are built only to value an
     award and for the counterexample.
     """
@@ -149,55 +186,75 @@ def dominance_check(sit: Situation, cfg: MechanismConfig,
     if cells > cell_limit:
         raise GridSizeError(
             f"{cells} payoff cells exceed the limit of {cell_limit}")
+    _check_config(sit, cfg)
     scale = math.lcm(sit.cap.denominator,
                      *(v.denominator for g in cfg.grids for v in g))
     cap = sit.cap.numerator * (scale // sit.cap.denominator)
     units = [tuple(v.numerator * (scale // v.denominator) for v in g) for g in cfg.grids]
     # A profile's grid indices x_j sit at position sum_j x_j * strides[j].
     strides = [math.prod(sizes[j + 1:]) for j in range(k)]
-    awards_at: list[Optional[tuple[tuple[int, ...], int]]] = [None] * math.prod(sizes)
+    awards_at: list[Optional[tuple[Sequence[int], int]]] = [None] * math.prod(sizes)
     values: list[dict[tuple[int, int], tuple[int, int]]] = [{} for _ in range(k)]
 
-    def payoff(at: int, i: int) -> tuple[int, int]:
-        rationed = awards_at[at]
-        if rationed is None:
-            profile = [u[at // s % len(u)] for u, s in zip(units, strides)]
-            nums, den = ration(cfg.rule, profile, cap)
-            rationed = awards_at[at] = (tuple(nums), den)
-        nums, den = rationed
-        award = nums[i]
+    def value(i: int, award: int, den: int) -> tuple[int, int]:
         common = math.gcd(award, den)
         key = (award // common, den // common)
-        value = values[i].get(key)
-        if value is None:
-            value = coalition_value(sit, cfg.structure[i], Fraction(award, den * scale))
-            value = values[i][key] = (value.numerator, value.denominator)
-        return value
+        found = values[i].get(key)
+        if found is None:
+            found = coalition_value(sit, cfg.structure[i], Fraction(award, den * scale))
+            found = values[i][key] = (found.numerator, found.denominator)
+        return found
 
     checked = 0
     for i in range(k):
         truth = cfg.grids[i].index(cfg.true_demands[i])  # on every grid, by make_config
+        own = units[i]
+        demand = own[truth]
         ranges = [range(0, n * s, s) for n, s in zip(sizes, strides)]
         ranges[i] = (truth * strides[i],)
+        reports = list(units)
+        reports[i] = (demand,)
         shifts = [(d - truth) * strides[i] for d in range(sizes[i])]
-        for base in itertools.product(*ranges):
+        for base, claims in zip(itertools.product(*ranges), itertools.product(*reports)):
             at = sum(base)
-            truthful, truthful_den = payoff(at, i)
+            rationed = awards_at[at]
+            if rationed is None:
+                rationed = awards_at[at] = ration(cfg.rule, claims, cap)
+            nums, den = rationed
+            award = nums[i]
+            if award == demand * den:  # (a) served its demand in full
+                checked += sizes[i]
+                continue
+            if award > demand * den:
+                raise RuntimeError(
+                    f"{cfg.rule} awards claimant {i} {Fraction(award, den * scale)}, "
+                    f"more than its claim {cfg.true_demands[i]}")
+            truthful = None
             for d, shift in enumerate(shifts):
-                checked += 1
                 if d == truth:
-                    continue  # the truthful payoff, computed above
-                deviant, deviant_den = payoff(at + shift, i)
-                if deviant * truthful_den > truthful * deviant_den:
+                    continue
+                rationed = awards_at[at + shift]
+                if rationed is None:
+                    profile = list(claims)
+                    profile[i] = own[d]
+                    rationed = awards_at[at + shift] = ration(cfg.rule, profile, cap)
+                deviant_nums, deviant_den = rationed
+                if deviant_nums[i] * den <= award * deviant_den:
+                    continue  # (b) no more than the truthful award
+                if truthful is None:
+                    truthful = value(i, award, den)
+                deviant = value(i, deviant_nums[i], deviant_den)
+                if deviant[0] * truthful[1] > truthful[0] * deviant[1]:
                     return DominanceReport(
-                        truthful_dominant=False, cells_checked=checked,
+                        truthful_dominant=False, cells_checked=checked + d + 1,
                         counterexample=Deviation(
                             claimant=i,
                             opponent_reports=tuple(
                                 g[x // s] for g, x, s in zip(cfg.grids, base, strides)),
                             deviation=cfg.grids[i][d],
-                            truthful_payoff=Fraction(truthful, truthful_den),
-                            deviant_payoff=Fraction(deviant, deviant_den)))
+                            truthful_payoff=Fraction(*truthful),
+                            deviant_payoff=Fraction(*deviant)))
+            checked += sizes[i]
     return DominanceReport(truthful_dominant=True, cells_checked=checked)
 
 
@@ -209,17 +266,29 @@ class EquilibriumReport:
 
 def equilibrium_check(sit: Situation, cfg: MechanismConfig,
                       profile: Sequence) -> EquilibriumReport:
-    """No claimant gains by a unilateral grid deviation from ``profile``."""
+    """No claimant gains by a unilateral grid deviation from ``profile``.
+
+    The rules of ``dominance_check`` apply to the current awards: a claimant
+    awarded its true demand is skipped, and one awarded less only values
+    deviations that raise its award."""
+    _check_config(sit, cfg)
     base = _report_profile(cfg, profile)
     base_awards = allocate(cfg.rule, base, sit.cap)
-    for i in range(cfg.claimants):
-        current = coalition_value(sit, cfg.structure[i], base_awards[i])
+    for i, (award, demand) in enumerate(zip(base_awards, cfg.true_demands)):
+        if award == demand:
+            continue  # the best profit there is
+        current = None
         trial = list(base)
         for deviation in cfg.grids[i]:
             if deviation == base[i]:
-                continue  # the current payoff, computed above
+                continue  # the current payoff
             trial[i] = deviation
-            payoff = mechanism_payoff(sit, cfg, trial, i)
+            deviant_award = allocate(cfg.rule, trial, sit.cap)[i]
+            if award < demand and deviant_award <= award:
+                continue  # profit does not fall on [0, demand]
+            if current is None:
+                current = coalition_value(sit, cfg.structure[i], award)
+            payoff = coalition_value(sit, cfg.structure[i], deviant_award)
             if payoff > current:
                 return EquilibriumReport(
                     holds=False,

@@ -1,6 +1,7 @@
 """Truthfulness of the division rules as direct mechanisms, at grid scale."""
 
 import collections
+import dataclasses
 import itertools
 import math
 import os
@@ -17,6 +18,7 @@ from permit_games.bankruptcy import RULES
 from permit_games.mechanism import (
     Deviation,
     DominanceReport,
+    EquilibriumReport,
     GridSizeError,
     allocate,
     dominance_check,
@@ -271,6 +273,46 @@ def test_dominance_check_matches_the_per_cell_oracle(rule):
         assert counterexamples >= 2
 
 
+def _reference_equilibrium(sit, cfg, profile):
+    """One ``mechanism_payoff`` per deviation, in the order of
+    ``equilibrium_check`` (claimant, deviation)."""
+    profile = tuple(F(v) for v in profile)
+    for i in range(cfg.claimants):
+        current = mechanism_payoff(sit, cfg, profile, i)
+        trial = list(profile)
+        for deviation in cfg.grids[i]:
+            if deviation == profile[i]:
+                continue
+            trial[i] = deviation
+            payoff = mechanism_payoff(sit, cfg, trial, i)
+            if payoff > current:
+                return EquilibriumReport(
+                    holds=False,
+                    improving=Deviation(
+                        claimant=i, opponent_reports=profile, deviation=deviation,
+                        truthful_payoff=current, deviant_payoff=payoff))
+    return EquilibriumReport(holds=True)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_equilibrium_check_matches_the_per_cell_oracle(rule):
+    rng = random.Random(8000 + RULES.index(rule))
+    improving = 0
+    for sit, cfg in _oracle_cases(rule, 12):
+        k = cfg.claimants
+        profiles = [
+            cfg.truthful_profile,
+            (0,) * k,
+            tuple(sit.cap + d for d in cfg.true_demands),  # above every demand
+            tuple(rng.choice(grid) for grid in cfg.grids),
+        ]
+        for profile in profiles:
+            report = equilibrium_check(sit, cfg, profile)
+            assert report == _reference_equilibrium(sit, cfg, profile), (sit, cfg, profile)
+            improving += not report.holds
+    assert improving >= 12  # the early exit is exercised
+
+
 def _count_work(monkeypatch):
     allocations = []
     valuations = collections.Counter()
@@ -290,18 +332,21 @@ def _count_work(monkeypatch):
 
 
 def test_dominance_check_rations_each_profile_once(monkeypatch, example3):
+    # Under CEA every cell is decided by integer awards: a claimant served its
+    # demand skips its row, and a rationed one is never raised by a deviation.
     allocations, valuations = _count_work(monkeypatch)
     cea = make_config(example3, "cea", grid=REFERENCE_GRID)
-    profiles = math.prod(len(g) for g in cea.grids)
+    assert math.prod(len(g) for g in cea.grids) == 729
     assert dominance_check(example3, cea).truthful_dominant
-    assert len(allocations) == len(set(allocations)) == profiles
-    assert set(valuations.values()) == {1}
+    assert len(allocations) == len(set(allocations)) == 673
+    assert not valuations
 
     del allocations[:]
     valuations.clear()
     prop = make_config(example3, "prop", grid=REFERENCE_GRID)
     assert not dominance_check(example3, prop).truthful_dominant
-    assert len(allocations) == len(set(allocations)) < profiles
+    # a walk that valued every cell rationed 59 profiles up to the counterexample
+    assert len(allocations) == len(set(allocations)) == 11
     assert set(valuations.values()) == {1}
 
 
@@ -312,9 +357,10 @@ def test_dominance_check_work_on_four_claimants(monkeypatch):
     while sit is None:
         sit = support.scarce_situation(rng, n_firms=4)
     cfg = make_config(sit, "cea")
+    assert math.prod(len(g) for g in cfg.grids) == 625
     assert dominance_check(sit, cfg).truthful_dominant
-    assert len(allocations) == math.prod(len(g) for g in cfg.grids)
-    assert set(valuations.values()) == {1}
+    assert len(allocations) == len(set(allocations)) == 601
+    assert not valuations
 
 
 def test_grid_limit_enforced(monkeypatch, example3):
@@ -338,8 +384,36 @@ def test_non_exhausting_rule_faults_the_mechanism_checks(monkeypatch, example3):
         equilibrium_check(example3, cfg, (30, 20, 25))
 
 
+def _greedy_cea(cap, claims):
+    """Exhausts the cap, all of it to the first claimant, whatever it claims."""
+    return [cap] + [0] * (len(claims) - 1), 1
+
+
+def test_mechanism_checks_refuse_what_the_skip_rules_cannot_rely_on(monkeypatch, example3):
+    cfg = make_config(example3, "cea", grid=REFERENCE_GRID)
+    # true demands that are not this economy's
+    wrong = dataclasses.replace(cfg, true_demands=(F(20), F(20), F(30)))
+    other = dataclasses.replace(example3, tax=F(30))  # demand of firm 1 is 40/3
+    for sit, config in ((example3, wrong), (other, cfg)):
+        with pytest.raises(ValueError, match="optimal demands"):
+            dominance_check(sit, config)
+        with pytest.raises(ValueError, match="optimal demands"):
+            equilibrium_check(sit, config, config.truthful_profile)
+    # a negative report level, whose award the skip rules cannot judge
+    negative = dataclasses.replace(cfg, grids=((F(-5),) + cfg.grids[0],) + cfg.grids[1:])
+    with pytest.raises(ValueError, match="nonnegative"):
+        dominance_check(example3, negative)
+    with pytest.raises(ValueError, match="nonnegative"):
+        equilibrium_check(example3, negative, negative.truthful_profile)
+    # a rationed truthful award above its claim
+    monkeypatch.setitem(bankruptcy._RULE_FUNCTIONS, "cea", _greedy_cea)
+    with pytest.raises(RuntimeError, match="more than its claim"):
+        dominance_check(example3, cfg)
+
+
 def test_non_exhausting_rule_faults_the_mechanism_checks_under_python_O():
     script = """
+import dataclasses
 import sys
 from permit_games import bankruptcy
 from permit_games.mechanism import dominance_check, equilibrium_check, make_config
@@ -350,12 +424,20 @@ sit = Situation.create(production=[[2, 3], [3, 2], [1, 1]],
                        endowments=[[40, 60, 80], [60, 40, 50]],
                        prices=[50, 60], tax=14, cap=50)
 cfg = make_config(sit, "cea", grid=test_mechanism.REFERENCE_GRID)
+wrong = dataclasses.replace(cfg, true_demands=(20, 20, 30))
 for check in (lambda: dominance_check(sit, cfg),
-              lambda: equilibrium_check(sit, cfg, (30, 20, 25))):
+              lambda: equilibrium_check(sit, cfg, (30, 20, 25)),
+              lambda: dominance_check(sit, wrong),
+              lambda: equilibrium_check(sit, wrong, (30, 20, 25))):
     try:
         check()
-    except RuntimeError as exc:
-        print("raised", exc)
+    except (RuntimeError, ValueError) as exc:
+        print("raised", type(exc).__name__, exc)
+bankruptcy._RULE_FUNCTIONS["cea"] = test_mechanism._greedy_cea
+try:
+    dominance_check(sit, cfg)
+except RuntimeError as exc:
+    print("raised", type(exc).__name__, exc)
 print("optimize", sys.flags.optimize)
 """
     here = Path(__file__).resolve().parent
@@ -365,4 +447,9 @@ print("optimize", sys.flags.optimize)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[-1] == "optimize 1"
-    assert len(lines) == 3 and all("exhaust" in line for line in lines[:2])
+    assert len(lines) == 6
+    assert all(line.startswith("raised RuntimeError") and "exhaust" in line
+               for line in lines[:2])
+    assert all(line.startswith("raised ValueError") and "optimal demands" in line
+               for line in lines[2:4])
+    assert lines[4].startswith("raised RuntimeError") and "more than its claim" in lines[4]
