@@ -66,33 +66,34 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="decimal digits in reports (default from scenario, else 2)")
     common.add_argument("--format", choices=FORMATS, dest="fmt",
                         help="report format (default from scenario, else table)")
-    common.add_argument("--partition-limit", type=int,
-                        help="largest firm count enumerated exhaustively")
-    common.add_argument("--grid",
-                        help="report grid: 'auto' or comma-separated exact levels")
     common.add_argument("--dump-scenario", metavar="PATH",
                         help="write the normalized scenario back out before running")
+    limited = argparse.ArgumentParser(add_help=False)
+    limited.add_argument("--partition-limit", type=int,
+                         help="largest firm count enumerated exhaustively")
 
-    sub.add_parser("demands", parents=[common],
+    sub.add_parser("demands", parents=[common, limited],
                    help="optimal permit demand of every coalition")
-    sub.add_parser("game", parents=[common],
+    sub.add_parser("game", parents=[common, limited],
                    help="permit shares and profits for every coalition structure")
-    cores = sub.add_parser("cores", parents=[common],
+    cores = sub.add_parser("cores", parents=[common, limited],
                            help="core verdicts for the derived games")
     cores.add_argument("--game", choices=CORE_CHOICES, default="all",
                        help="which derived game to test (default all)")
-    sub.add_parser("resource-games", parents=[common],
+    sub.add_parser("resource-games", parents=[common, limited],
                    help="best/worst-case permit allocation games")
-    sub.add_parser("pipeline", parents=[common],
+    sub.add_parser("pipeline", parents=[common, limited],
                    help="stable permit split and priced profit allocation")
-    sub.add_parser("mechanism", parents=[common],
-                   help="truthfulness of the rule as a direct mechanism")
-    trade = sub.add_parser("trade", parents=[common],
+    mechanism = sub.add_parser("mechanism", parents=[common],
+                               help="truthfulness of the rule as a direct mechanism")
+    mechanism.add_argument("--grid",
+                           help="report grid: 'auto' or comma-separated exact levels")
+    trade = sub.add_parser("trade", parents=[common, limited],
                            help="uniform-price trading ledger toward a target")
     trade.add_argument("--target",
                        help="comma-separated exact profits (default: priced allocation)")
     trade.add_argument("--price", help="uniform permit price (exact literal)")
-    sub.add_parser("reproduce-paper", parents=[common],
+    sub.add_parser("reproduce-paper",
                    help="re-run the bundled reference economy against its expected tables")
     return parser
 

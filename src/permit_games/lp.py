@@ -41,8 +41,7 @@ which is then optimal, and calls ``solve`` only when no basis qualifies.
 Each pivot is stored as an edge of the basis it leaves, so it is taken and
 its new basis checked only once.  Every segment is certified at both of its
 ends, in integers, against the rows: x >= 0, A x <= b, complementary
-slackness and strong duality.  ``sweep`` walks a single program on a table
-of its own.
+slackness and strong duality.
 """
 
 from __future__ import annotations
@@ -271,18 +270,6 @@ class Segment(NamedTuple):
     slope: Fraction
 
 
-_SWEEP_NEEDS = ("sweep needs <= rows, nonnegative right-hand sides and a positive one "
-                "on the swept row")
-
-
-def sweep(lp: LinearProgram, k: int) -> list[Segment]:
-    """The optimum of ``lp`` as its row ``k``'s right-hand side z falls from
-    its value in ``lp`` to 0, walked on a table of its own (``BasisTable``)."""
-    if any(sense != LE for sense in lp.senses):
-        raise ValueError(_SWEEP_NEEDS)
-    return BasisTable(lp.objective, lp.rows).sweep(*_integer_row(lp.rhs), k)
-
-
 class _Basis(NamedTuple):
     """One certified basis of a ``BasisTable``: the tableau B^-1 [A | I] as
     integer rows over positive denominators, the basic column of each row,
@@ -340,7 +327,8 @@ class BasisTable:
         """
         n = self._program.n_vars
         if den <= 0 or any(b < 0 for b in rhs) or rhs[k] <= 0:
-            raise ValueError(_SWEEP_NEEDS)
+            raise ValueError("sweep needs nonnegative right-hand sides and a positive one "
+                             "on the swept row")
         entry = next((e for e in self._bases.values()
                       if all(v >= 0 for v in _basic_values(e, rhs, n))), None)
         if entry is None:

@@ -363,11 +363,24 @@ def test_dominance_check_work_on_four_claimants(monkeypatch):
     assert not valuations
 
 
+def test_equilibrium_check_rations_each_profile_once(monkeypatch, example3):
+    # Every claimant is rationed at the truthful CEA profile, so each of its
+    # deviations is rationed once and none lifts its award.
+    allocations, valuations = _count_work(monkeypatch)
+    cfg = make_config(example3, "cea", grid=REFERENCE_GRID)
+    assert equilibrium_check(example3, cfg, cfg.truthful_profile).holds
+    assert len(allocations) == len(set(allocations)) == 1 + 3 * 8
+    assert not valuations
+
+
 def test_grid_limit_enforced(monkeypatch, example3):
     allocations, valuations = _count_work(monkeypatch)
-    cfg = make_config(example3, "cea", grid=list(range(0, 30)))
+    cfg = make_config(example3, "cea", grid=list(range(0, 64)))
+    assert 3 * math.prod(len(g) for g in cfg.grids) > mechanism.DEFAULT_CELL_LIMIT
     with pytest.raises(GridSizeError):
-        dominance_check(example3, cfg, cell_limit=100)
+        dominance_check(example3, cfg)
+    with pytest.raises(GridSizeError):
+        equilibrium_check(example3, cfg, cfg.truthful_profile)
     assert allocations == [] and not valuations
 
 
@@ -409,6 +422,18 @@ def test_mechanism_checks_refuse_what_the_skip_rules_cannot_rely_on(monkeypatch,
     monkeypatch.setitem(bankruptcy._RULE_FUNCTIONS, "cea", _greedy_cea)
     with pytest.raises(RuntimeError, match="more than its claim"):
         dominance_check(example3, cfg)
+    with pytest.raises(RuntimeError, match="more than its claim"):
+        equilibrium_check(example3, cfg, cfg.truthful_profile)
+
+
+def test_mechanism_checks_refuse_a_grid_without_the_true_demand(example3):
+    cfg = make_config(example3, "cea", grid=REFERENCE_GRID)
+    untruthful = dataclasses.replace(
+        cfg, grids=cfg.grids[:2] + (tuple(v for v in cfg.grids[2] if v != 25),))
+    with pytest.raises(ValueError, match="claimant 2 lacks its true demand 25"):
+        dominance_check(example3, untruthful)
+    with pytest.raises(ValueError, match="claimant 2 lacks its true demand 25"):
+        equilibrium_check(example3, untruthful, untruthful.truthful_profile)
 
 
 def test_non_exhausting_rule_faults_the_mechanism_checks_under_python_O():

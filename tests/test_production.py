@@ -276,7 +276,9 @@ def test_table_curves_equal_fresh_sweeps_in_any_order():
         for fs in coalitions:
             top = production._curve(sit, fs)[-1].hi
             assert top == _oracle_top(sit, fs)
-            alone[fs] = lp.sweep(_revenue_program(sit, fs, top), sit.n_resources)
+            program = _revenue_program(sit, fs, top)
+            alone[fs] = lp.BasisTable(program.objective, program.rows).sweep(
+                *lp._integer_row(program.rhs), sit.n_resources)
         orders = [coalitions] + [rng.sample(coalitions, len(coalitions)) for _ in range(3)]
         for order in orders:
             fresh = dataclasses.replace(sit)

@@ -360,6 +360,18 @@ def test_unknown_command_exits_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["reproduce-paper", "--format", "json"],
+    ["game", "--grid", "1"],
+    ["mechanism", "--partition-limit", "3"],
+])
+def test_options_a_command_does_not_read_exit_two(scenario_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--scenario", str(scenario_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_reproduce_paper_command(capsys):
     code, out, _ = run_cli(capsys, "reproduce-paper")
     assert code == 0
