@@ -7,11 +7,13 @@ water levels matter downstream because permit shares feed argmin/argmax
 comparisons over partitions).  ``ration`` serves integer claims in full or
 rations them, and checks that rationed awards exhaust the cap as an integer
 sum, ``sum(nums) == cap*den``.  Fractions appear only at two boundaries.
-``allocate``, the one Fraction entry, is the serve-in-full-or-ration step
-behind every game and the mechanism: it scales its Fraction inputs by
-``lcm`` of the denominators and turns the integer awards back into
-Fractions.  The truthfulness check scales its report grids once per call
-and calls ``ration`` directly.
+``allocate``, the one Fraction entry, rations one claim vector, such as
+the pipeline's individual demands or a mechanism report profile: it scales
+its Fraction inputs by ``lcm`` of the denominators and turns the integer
+awards back into Fractions.  Callers that ration many claim vectors on one
+scale call ``ration`` directly: ``build_game`` scales the demands and the
+cap once per game, and the truthfulness check its report grids once per
+call.
 """
 
 from __future__ import annotations
@@ -166,15 +168,12 @@ def allocate(rule: str, claims: Sequence[Fraction], cap: Fraction) -> tuple[Frac
     """Serve the claims in full when they fit under the cap, else ration the
     cap by the rule; rationed awards always exhaust the cap.  The cap and
     claims are scaled by ``lcm`` of their denominators into integer units
-    for ``ration``.  An award equal to its claim is the claim object itself,
-    and equal awards are one object, because callers keep the awards they
-    get: a game table holds one per payoff cell."""
+    for ``ration``."""
     rule = check_rule(rule)
     scale = lcm(cap.denominator, *(d.denominator for d in claims))
     units = [d.numerator * (scale // d.denominator) for d in claims]
     nums, den = ration(rule, units, cap.numerator * (scale // cap.denominator))
-    shared = {a: Fraction(a, den * scale) for u, a in zip(units, nums) if a != u * den}
-    return tuple(shared.get(a, d) for d, a in zip(claims, nums))
+    return tuple(Fraction(a, den * scale) for a in nums)
 
 
 def apply_rule(rule: str, problem: BankruptcyProblem) -> tuple[Fraction, ...]:

@@ -34,14 +34,17 @@ that share c and A and differ in b (parametric programming, Gal 1979).  It
 keeps each optimal basis it meets with what does not depend on b: the
 tableau B^-1 [A | I], the reduced costs and the dual y = c_B B^-1, whose
 feasibility is checked once, against the rows of A, when the basis enters.
-Its ``sweep`` walks one row's right-hand side down to 0 by dual simplex
-pivots, so the optimum as a function of that right-hand side comes out as
-exact segments.  The walk starts at the first table basis with B^-1 b >= 0,
-which is then optimal, and calls ``solve`` only when no basis qualifies.
-Each pivot is stored as an edge of the basis it leaves, so it is taken and
-its new basis checked only once.  Every segment is certified at both of its
-ends, in integers, against the rows: x >= 0, A x <= b, complementary
-slackness and strong duality.
+Only after that check does it read, once per basis, what every walk over
+the basis uses: the B^-1 part of the rows, the structural basic rows on
+one denominator and y weighted for the rows of A.  Its ``sweep`` walks one
+row's right-hand side down to 0 by dual simplex pivots, so the optimum as a
+function of that right-hand side comes out as exact segments.  The walk
+starts at the first table basis with B^-1 b >= 0, which is then optimal,
+and calls ``solve`` only when no basis qualifies.  Each pivot is stored as
+an edge of the basis it leaves, so it is taken and its new basis checked
+only once.  Every segment is certified at both of its ends, in integers,
+against the rows: x >= 0, A x <= b, complementary slackness and strong
+duality, the last with the stored weights of the checked dual.
 """
 
 from __future__ import annotations
@@ -254,8 +257,9 @@ def solve(lp: LinearProgram) -> LpSolution:
         _tableau=(rows, dens, basis),
     )
     xs, x_den = _integer_row(solution.primal)
-    _check_dual(work, obj, obj_den, y, red_den)
-    _check_points(work, obj, obj_den, y, red_den, [([row.rhs for row in work], 1, xs, x_den)])
+    weights, scale = _check_dual(work, obj, obj_den, y, red_den)
+    _check_points(work, obj, obj_den, y, weights, scale,
+                  [([row.rhs for row in work], 1, xs, x_den)])
     _check_value(objective_value, obj, obj_den, xs, x_den)
     return solution
 
@@ -275,7 +279,10 @@ class _Basis(NamedTuple):
     integer rows over positive denominators, the basic column of each row,
     the reduced costs c - yA over ``y_den`` and the dual y = c_B B^-1 over
     ``y_den``.  ``edges`` maps a leaving row to the basis its dual simplex
-    pivot reaches."""
+    pivot reaches.  The rest is read once, after the dual is checked: the
+    B^-1 part of each row, each structural basic row with its factor to the
+    ``common`` denominator of those rows, and y weighted for the rows of A
+    over ``scale`` (see ``_weights``)."""
 
     basis: tuple[int, ...]
     rows: list[list[int]]
@@ -284,6 +291,11 @@ class _Basis(NamedTuple):
     y: list[int]
     y_den: int
     edges: dict
+    inverse: Sequence[list[int]] = ()
+    basic: Sequence[tuple[int, int, int]] = ()
+    common: int = 1
+    weights: Sequence[int] = ()
+    scale: int = 1
 
 
 class BasisTable:
@@ -330,7 +342,7 @@ class BasisTable:
             raise ValueError("sweep needs nonnegative right-hand sides and a positive one "
                              "on the swept row")
         entry = next((e for e in self._bases.values()
-                      if all(v >= 0 for v in _basic_values(e, rhs, n))), None)
+                      if all(sum(map(mul, row, rhs)) >= 0 for row in e.inverse)), None)
         if entry is None:
             solution = solve(replace(self._program, rhs=tuple(Fraction(b, den) for b in rhs)))
             if solution.status != OPTIMAL:
@@ -339,13 +351,12 @@ class BasisTable:
             entry = self._enter([row[:-1] for row in rows], dens, basis)
         # Row i's right-hand side over den_i * den, as _check_segment reads it.
         b = [bi * row.den for bi, row in zip(rhs, self._work)]
-        slack = n + k
         segments: list[Segment] = []
         # A level is z with its distance t - z from the top as (p, q) = p / q.
         high = (Fraction(rhs[k], den), 0, 1)
         while True:
-            values = _basic_values(entry, rhs, n)
-            column = [row[slack] for row in entry.rows]
+            values = _basic_values(entry, rhs)
+            column = [row[k] for row in entry.inverse]  # row k's slack
             r = _ratio_test(entry.basis, values, column)
             # Row r's basic variable reaches 0 at t - z = values_r / (den * column_r).
             bottom = r < 0 or values[r] >= rhs[k] * column[r]
@@ -392,9 +403,17 @@ class BasisTable:
 
     def _enter(self, rows, dens, basis) -> _Basis:
         """Add the basis of a tableau (reduced costs last, no right-hand
-        side column) to the table once its dual is checked feasible."""
-        entry = _read_basis(rows, dens, basis, self._program.n_vars)
-        _check_dual(self._work, self._cost, self._cost_den, entry.y, entry.y_den)
+        side column) to the table once its dual is checked feasible, with
+        what every sweep reads of it."""
+        n = self._program.n_vars
+        entry = _read_basis(rows, dens, basis, n)
+        weights, scale = _check_dual(self._work, self._cost, self._cost_den, entry.y, entry.y_den)
+        basic = [(r, col) for r, col in enumerate(entry.basis) if col < n]
+        common = lcm(*(entry.dens[r] for r, _ in basic))
+        entry = entry._replace(
+            inverse=[row[n:] for row in entry.rows],
+            basic=[(r, col, common // entry.dens[r]) for r, col in basic],
+            common=common, weights=weights, scale=scale)
         self._bases[tuple(sorted(entry.basis))] = entry
         return entry
 
@@ -408,10 +427,10 @@ def _read_basis(rows, dens, basis, n) -> _Basis:
                   [-red[n + i] for i in range(m)], dens[m], {})
 
 
-def _basic_values(entry: _Basis, rhs: Sequence[int], n: int) -> list[int]:
+def _basic_values(entry: _Basis, rhs: Sequence[int]) -> list[int]:
     """B^-1 b for row i's right-hand side ``rhs[i] / den``: row r's basic
     variable as a numerator over ``entry.dens[r] * den``."""
-    return [sum(map(mul, row[n:], rhs)) for row in entry.rows]
+    return [sum(map(mul, row, rhs)) for row in entry.inverse]
 
 
 def _segment(entry: _Basis, rhs, den, values, n, k, low, high):
@@ -419,16 +438,14 @@ def _segment(entry: _Basis, rhs, den, values, n, k, low, high):
     for the top t, off a basis's table entry, with the primal at each end
     in integers as (numerators, den).  ``values`` is B^-1 b at the top, as
     ``_basic_values`` gives it."""
-    dens, slack = entry.dens, n + k
-    basic = [(r, col) for r, col in enumerate(entry.basis) if col < n]
-    common = lcm(*(dens[r] for r, _ in basic))
+    inverse = entry.inverse
     ends = []
     for _, p, q in (low, high):
         # Row r's basic variable is values_r / (dens_r den) - (p / q) beta_r / dens_r.
         xs = [0] * n
-        for r, col in basic:
-            xs[col] = (values[r] * q - p * den * entry.rows[r][slack]) * (common // dens[r])
-        ends.append((xs, common * den * q))
+        for r, col, factor in entry.basic:
+            xs[col] = (values[r] * q - p * den * inverse[r][k]) * factor
+        ends.append((xs, entry.common * den * q))
     y, y_den = entry.y, entry.y_den
     _, p, q = low
     value = Fraction(sum(map(mul, y, rhs)) * q - y[k] * p * den, y_den * den * q)
@@ -437,10 +454,11 @@ def _segment(entry: _Basis, rhs, den, values, n, k, low, high):
 
 def _check_segment(work, cost, cost_den, k, b, b_den, segment, entry, ends) -> None:
     """Certify a segment at both of its ends against the standard-form rows,
-    with the entry's dual, whose feasibility was checked on entry; row i's
-    right-hand side is ``b[i] / (den_i * b_den)`` except on the swept row.
-    The value at lo is checked against the primal; the value at hi then
-    follows, since b moves only on row k, whose dual is the checked slope."""
+    with the entry's dual, whose feasibility was checked on entry, and the
+    weights read then; row i's right-hand side is ``b[i] / (den_i * b_den)``
+    except on the swept row.  The value at lo is checked against the primal;
+    the value at hi then follows, since b moves only on row k, whose dual is
+    the checked slope."""
     y, y_den = entry.y, entry.y_den
     slope = segment.slope
     if slope.numerator * y_den != y[k] * slope.denominator:
@@ -451,7 +469,7 @@ def _check_segment(work, cost, cost_den, k, b, b_den, segment, entry, ends) -> N
         bz = [bi * zd for bi in b]
         bz[k] = zn * b_den * work[k].den
         points.append((bz, b_den * zd, xs, x_den))
-    _check_points(work, cost, cost_den, y, y_den, points)
+    _check_points(work, cost, cost_den, y, entry.weights, entry.scale, points)
     _check_value(segment.value, cost, cost_den, *ends[0])
 
 
@@ -575,13 +593,14 @@ def _weights(work, y, y_den):
     return [yi * (common // row.den) for yi, row in zip(y, work)], y_den * common
 
 
-def _check_dual(work, cost, cost_den, y, y_den) -> None:
+def _check_dual(work, cost, cost_den, y, y_den) -> tuple[list[int], int]:
     """Dual feasibility of y = c_B B^-1, the standard-form duals over
     ``y_den``, recomputed from the standard-form rows ``work`` and the
     objective's numerators ``cost`` over ``cost_den``, not read from the
     tableau.  It proves optimal every feasible primal that meets y in
     complementary slackness and strong duality, and it does not depend on
-    the right-hand side.  A violation is a solver bug: RuntimeError."""
+    the right-hand side.  A violation is a solver bug: RuntimeError.
+    Returns ``_weights`` of y, which the check computed."""
     # c_j - y.A_j <= 0 on every structural and slack column j.
     weights, scale = _weights(work, y, y_den)
     for c, cc in enumerate(cost):
@@ -591,18 +610,19 @@ def _check_dual(work, cost, cost_den, y, y_den) -> None:
     for i, (row, yi) in enumerate(zip(work, y)):
         if (row.sense == LE and yi < 0) or (row.sense == GE and yi > 0):
             raise RuntimeError(f"slack of standard row {i} still improves: not optimal")
+    return weights, scale
 
 
-def _check_points(work, cost, cost_den, y, y_den, points) -> None:
+def _check_points(work, cost, cost_den, y, weights, scale, points) -> None:
     """Exact certificate checks of primal points against a dual whose
-    feasibility ``_check_dual`` has checked; a violation is a solver bug.
+    feasibility ``_check_dual`` has checked, with the weights over ``scale``
+    that it returned; a violation is a solver bug.
 
     Each point (b, b_den, xs, x_den) is a primal xs / x_den that must be
     optimal when row i's right-hand side is b_i / (den_i * b_den): primal
     feasibility, complementary slackness with y, and strong duality,
     c.x == y.b.
     """
-    weights, scale = _weights(work, y, y_den)
     for b, b_den, xs, x_den in points:
         for i, (row, bi) in enumerate(zip(work, b)):
             lhs = sum(map(mul, row.structural, xs)) * b_den

@@ -1,9 +1,12 @@
 """Partition-function games induced by a division rule on permit claims.
 
 For every coalition structure the blocks claim their optimal permit demands
-and ``bankruptcy.allocate`` serves them in full under the cap or rations
-them by the announced rule.  Block profits then depend on the whole
-structure, which is exactly where the externalities live.
+and ``bankruptcy.ration`` serves them in full under the cap or rations them
+by the announced rule.  The demands and the cap are scaled once per game
+into one integer unit, so every structure is rationed in integers, and a
+Fraction award and its profit are built once per distinct (block, award).
+Block profits then depend on the whole structure, which is exactly where
+the externalities live.
 
 Every derived game (optimistic, pessimistic, best- and worst-case permit
 games) is read off each coalition's extremal shares.  An award never
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 from . import bankruptcy
@@ -71,34 +75,41 @@ def build_game(sit: Situation, rule: str, limit: int = DEFAULT_LIMIT) -> Partiti
     rule = bankruptcy.check_rule(rule)
     partitions = enumerate_partitions(sit.n_firms, limit)
     demands = {fs: optimal_demand(sit, fs) for fs in lex_coalitions(sit.firms())}
+    # Claims and cap in one integer unit, 1/scale permits, for every structure.
+    scale = lcm(sit.cap.denominator, *(d.denominator for d in demands.values()))
+    claims = {fs: d.numerator * (scale // d.denominator) for fs, d in demands.items()}
+    cap = sit.cap.numerator * (scale // sit.cap.denominator)
     shares: dict[tuple[frozenset[int], Partition], Fraction] = {}
     values: dict[tuple[frozenset[int], Partition], Fraction] = {}
-    # One profit per distinct (block, award), keyed by the award's numerator
-    # and denominator: hashing a Fraction costs a modular inverse.
-    profit: dict[tuple[frozenset[int], int, int], Fraction] = {}
-    # coalition -> (share, first structure giving it, profit there)
-    least: dict[frozenset[int], tuple[Fraction, Partition, Fraction]] = {}
-    largest: dict[frozenset[int], tuple[Fraction, Partition, Fraction]] = {}
+    # One (share, profit) per distinct (block, award), keyed by the award in
+    # units as a reduced numerator and denominator.
+    cells: dict[tuple[frozenset[int], int, int], tuple[Fraction, Fraction]] = {}
+    # coalition -> (award in units as num, den; first structure giving it; cell)
+    least: dict[frozenset[int], tuple] = {}
+    largest: dict[frozenset[int], tuple] = {}
     for partition in partitions:
         blocks = [frozenset(b) for b in partition]
-        awards = bankruptcy.allocate(rule, [demands[b] for b in blocks], sit.cap)
-        for block, award in zip(blocks, awards):
-            shares[block, partition] = award
-            key = block, award.numerator, award.denominator
-            value = profit.get(key)
-            if value is None:
-                value = profit[key] = coalition_value(sit, block, award)
+        nums, den = bankruptcy.ration(rule, [claims[b] for b in blocks], cap)
+        for block, a in zip(blocks, nums):
+            g = gcd(a, den)
+            a, d = a // g, den // g
+            key = block, a, d
+            cell = cells.get(key)
+            if cell is None:
+                award = Fraction(a, d * scale)
+                cell = cells[key] = award, coalition_value(sit, block, award)
                 # an award seen before for this block is no new extreme
+                extreme = a, d, partition, cell
                 low = least.get(block)
                 if low is None:
-                    least[block] = largest[block] = award, partition, value
-                elif award < low[0]:
-                    least[block] = award, partition, value
-                elif award > largest[block][0]:
-                    largest[block] = award, partition, value
-            values[block, partition] = value
+                    least[block] = largest[block] = extreme
+                elif a * low[1] < low[0] * d:
+                    least[block] = extreme
+                elif a * largest[block][1] > largest[block][0] * d:
+                    largest[block] = extreme
+            shares[block, partition], values[block, partition] = cell
     for fs, demand in demands.items():
-        (low, _, worst), (high, _, best) = least[fs], largest[fs]
+        (low, worst), (high, best) = least[fs][3], largest[fs][3]
         if high > demand or worst > best:
             raise RuntimeError(
                 f"coalition {sorted(fs)}: profit is not increasing in its share "
@@ -106,8 +117,8 @@ def build_game(sit: Situation, rule: str, limit: int = DEFAULT_LIMIT) -> Partiti
     return PartitionGame(
         situation=sit, rule=rule, partitions=partitions, demands=demands,
         shares=shares, values=values,
-        least={fs: least[fs][1] for fs in demands},
-        largest={fs: largest[fs][1] for fs in demands})
+        least={fs: least[fs][2] for fs in demands},
+        largest={fs: largest[fs][2] for fs in demands})
 
 
 def pessimistic_game(game: PartitionGame) -> CharacteristicGame:

@@ -3,7 +3,8 @@
 A partition is a tuple of blocks; each block is a sorted tuple of 1-based
 firm ids and blocks are ordered by least member, so equality is syntactic.
 Enumeration follows restricted growth strings in lexicographic order, which
-is deterministic and yields exactly the Bell number of partitions.
+is deterministic and yields exactly the Bell number of partitions: element
+i joins each block of every partition of 1..i-1 in turn, then opens its own.
 """
 
 from __future__ import annotations
@@ -37,22 +38,15 @@ def enumerate_partitions(n: int, limit: int = DEFAULT_LIMIT) -> tuple[Partition,
             f"partitions of {n} elements ({bell_number(n)} of them) exceed the "
             f"configured limit of {limit} elements; raise the limit explicitly "
             "if you really want the exhaustive sweep")
-    out: list[Partition] = []
-    labels = [0] * n
-
-    def grow(i: int, used: int):
-        if i == n:
-            blocks: list[list[int]] = [[] for _ in range(used)]
-            for element, label in enumerate(labels, start=1):
-                blocks[label].append(element)
-            out.append(tuple(tuple(b) for b in blocks))
-            return
-        for label in range(used + 1):
-            labels[i] = label
-            grow(i + 1, max(used, label + 1))
-
-    grow(0, 0)
-    return tuple(out)
+    partitions: list[Partition] = [()]
+    for element in range(1, n + 1):
+        grown = []
+        for partition in partitions:
+            for j, block in enumerate(partition):  # element joins block j ...
+                grown.append(partition[:j] + ((*block, element),) + partition[j + 1:])
+            grown.append(partition + ((element,),))  # ... or opens its own
+        partitions = grown
+    return tuple(partitions)
 
 
 def singleton_partition(n: int) -> Partition:

@@ -13,8 +13,9 @@ of them.  A curve is that table's sweep of the permit row from a level
 where it is slack down to z = 0.  The sweep reuses the bases and pivots
 that earlier coalitions met, and it solves an LP only when no known basis
 is optimal at the top.  Each segment is certified before it is kept.  A
-revenue is a bisection and an interpolation, and the demand is the least
-maximiser of R_S(z) - tax * z.
+revenue or a profit is read off the segment holding z as one integer
+numerator over one denominator, so each costs one Fraction, and the demand
+is the least maximiser of R_S(z) - tax * z.
 Each situation keeps its curves, its table and the integer stock data the
 right-hand sides come from on itself (not as fields), so they are freed
 with it; the table goes as soon as every coalition has its curve.
@@ -22,12 +23,10 @@ with it; the table goes as soon as every coalition has its curve.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import attrgetter
 from typing import Iterable
 
 from .lp import (
@@ -137,9 +136,13 @@ class Situation:
         fs = frozenset(members)
         if not fs:
             raise SituationError("a coalition must be nonempty")
-        if not fs <= set(self.firms()):
+        if not fs <= self._firm_set:
             raise SituationError(f"unknown firm in coalition {sorted(fs)}")
         return fs
+
+    @cached_property
+    def _firm_set(self) -> frozenset[int]:
+        return frozenset(self.firms())
 
     @cached_property
     def _memo(self) -> dict:
@@ -196,18 +199,34 @@ def _curve(sit: Situation, fs: frozenset[int]) -> list[Segment]:
 
 def production_revenue(sit: Situation, members: Iterable[int], permits) -> Fraction:
     """Best sales revenue of the coalition when holding ``permits``, before tax."""
-    z = as_fraction(permits)
-    if z < 0:
-        raise SituationError(f"permit quantity must be nonnegative (got {z})")
-    segments = _curve(sit, sit.coalition(members))
-    segment = segments[bisect_right(segments, z, key=attrgetter("lo")) - 1]
-    return segment.value + segment.slope * (z - segment.lo)
+    return _on_curve(sit, members, permits, ZERO)
 
 
 def coalition_value(sit: Situation, members: Iterable[int], permits) -> Fraction:
     """Best profit of the coalition with a fixed permit quantity, tax included."""
+    return _on_curve(sit, members, permits, sit.tax)
+
+
+def _on_curve(sit: Situation, members: Iterable[int], permits, tax: Fraction) -> Fraction:
+    """R_S(z) - tax * z at z = ``permits`` on the segment holding z, as
+    value + slope * (z - lo) - tax * z: one integer numerator over one
+    denominator, and one Fraction."""
     z = as_fraction(permits)
-    return production_revenue(sit, members, z) - sit.tax * z
+    zn, zd = z.numerator, z.denominator
+    if zn < 0:
+        raise SituationError(f"permit quantity must be nonnegative (got {z})")
+    for segment in reversed(_curve(sit, sit.coalition(members))):
+        lo = segment.lo  # the last segment with lo <= z; the first has lo = 0
+        ln, ld = lo.numerator, lo.denominator
+        if ln * zd <= zn * ld:
+            break
+    value, slope = segment.value, segment.slope
+    vd, sd, td = value.denominator, slope.denominator, tax.denominator
+    # slope * (z - lo) is over sd * ld * zd, tax * z over td * zd
+    return Fraction(
+        (value.numerator * sd * ld * zd + slope.numerator * (zn * ld - ln * zd) * vd) * td
+        - tax.numerator * zn * vd * sd * ld,
+        vd * sd * ld * zd * td)
 
 
 def grand_coalition_dual(sit: Situation) -> LpSolution:

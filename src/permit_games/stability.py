@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .games import CharacteristicGame, lex_coalitions
@@ -141,19 +142,25 @@ def _core_program(game: CharacteristicGame):
 
 def _over_claiming_partition(game: CharacteristicGame) -> Optional[CoreCertificate]:
     """The first partition, in enumeration order, whose blocks' worths exceed
-    the grand value by the most; None when no partition over-claims."""
-    grand = game.grand_value
-    best_partition, best_total = None, grand
-    for partition in enumerate_partitions(len(game.players), limit=len(game.players)):
-        blocks = [frozenset(game.players[i - 1] for i in block) for block in partition]
-        total = sum((game.values[b] for b in blocks), ZERO)
+    the grand value by the most; None when no partition over-claims.  The
+    worths are compared as integers over their common denominator, one per
+    block of player positions as the partitions list them."""
+    players, n = game.players, len(game.players)
+    position = {p: i for i, p in enumerate(players, start=1)}
+    den = lcm(*(v.denominator for v in game.values.values()))
+    worth = {tuple(sorted(position[p] for p in fs)): v.numerator * (den // v.denominator)
+             for fs, v in game.values.items()}
+    best_partition, best_total = None, worth[tuple(range(1, n + 1))]
+    for partition in enumerate_partitions(n, limit=n):
+        total = sum(map(worth.__getitem__, partition))
         if total > best_total:
-            best_partition, best_total = blocks, total
+            best_partition, best_total = partition, total
     if best_partition is None:
         return None
     return CoreCertificate(
-        kind="partition", parts=tuple((b, ONE) for b in best_partition),
-        weighted_total=best_total, grand_value=grand)
+        kind="partition",
+        parts=tuple((frozenset(players[i - 1] for i in block), ONE) for block in best_partition),
+        weighted_total=Fraction(best_total, den), grand_value=game.grand_value)
 
 
 @dataclass(frozen=True)

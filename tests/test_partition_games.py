@@ -12,6 +12,7 @@ import pytest
 
 from permit_games import bankruptcy, cli, partition_games
 from permit_games.bankruptcy import RULES
+from permit_games.games import lex_coalitions
 from permit_games.partition_games import (
     MINUS,
     PLUS,
@@ -21,6 +22,7 @@ from permit_games.partition_games import (
     resource_game,
     resource_witnesses,
 )
+from permit_games.partitions import enumerate_partitions
 from permit_games.production import coalition_value, optimal_demand
 
 import support
@@ -256,10 +258,50 @@ def test_bound_games_match_the_min_and_max_over_every_cell(seeded_games):
             assert list(derived.values) == derived.coalitions()
 
 
+def _allocate_per_structure(sit, rule):
+    """Each structure's demands allocated in Fractions and each award valued
+    there, with the first structure giving each coalition its least and its
+    largest share: the oracle for the one-scale tabulation."""
+    demands = {fs: optimal_demand(sit, fs) for fs in lex_coalitions(sit.firms())}
+    shares, values, least, largest = {}, {}, {}, {}
+    for partition in enumerate_partitions(sit.n_firms):
+        blocks = [frozenset(b) for b in partition]
+        awards = bankruptcy.allocate(rule, [demands[b] for b in blocks], sit.cap)
+        for block, award in zip(blocks, awards):
+            shares[block, partition] = award
+            values[block, partition] = coalition_value(sit, block, award)
+            if block not in least or award < shares[block, least[block]]:
+                least[block] = partition
+            if block not in largest or award > shares[block, largest[block]]:
+                largest[block] = partition
+    return demands, shares, values, least, largest
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_build_game_matches_the_per_structure_oracle(rule):
+    rng = random.Random(RULES.index(rule) + 60)
+    situations = []
+    for n_firms in range(1, 7):
+        sit = None
+        while sit is None:
+            sit = support.scarce_situation(rng, n_firms=n_firms)
+        situations.append(sit)
+    situations.append(dataclasses.replace(situations[3], cap=situations[3].cap * 100))
+    for sit in situations:
+        game = build_game(sit, rule)
+        demands, shares, values, least, largest = _allocate_per_structure(sit, rule)
+        assert game.demands == demands
+        assert game.shares == shares and game.values == values
+        assert game.least == least and game.largest == largest
+        assert list(game.least) == list(game.largest) == list(demands)
+
+
 def _award_beyond_claim(real):
-    def allocate(rule, claims, cap):
-        return (claims[0] + 1, *real(rule, claims, cap)[1:])
-    return allocate
+    """The first block gets one unit more than its claim."""
+    def ration(rule, claims, cap):
+        nums, den = real(rule, claims, cap)
+        return ((claims[0] + 1) * den, *nums[1:]), den
+    return ration
 
 
 def _profit_dip(real):
@@ -274,7 +316,7 @@ def _profit_dip(real):
 
 # (module, attribute, corruption): one award beyond its claim, or one profit
 # that falls as the share rises; either breaks the monotonicity build_game checks
-CORRUPTIONS = [(bankruptcy, "allocate", _award_beyond_claim),
+CORRUPTIONS = [(bankruptcy, "ration", _award_beyond_claim),
                (partition_games, "coalition_value", _profit_dip)]
 
 

@@ -40,6 +40,32 @@ def test_blocks_are_canonical():
             assert list(block) == sorted(block)
 
 
+def _restricted_growth(n):
+    """Partitions by a recursion over restricted growth strings in
+    lexicographic order, kept as the oracle for the enumeration order."""
+    out = []
+    labels = [0] * n
+
+    def grow(i, used):
+        if i == n:
+            blocks = [[] for _ in range(used)]
+            for element, label in enumerate(labels, start=1):
+                blocks[label].append(element)
+            out.append(tuple(tuple(b) for b in blocks))
+            return
+        for label in range(used + 1):
+            labels[i] = label
+            grow(i + 1, max(used, label + 1))
+
+    grow(0, 0)
+    return tuple(out)
+
+
+def test_order_matches_the_restricted_growth_recursion():
+    for n in range(1, 9):
+        assert enumerate_partitions(n) == _restricted_growth(n)
+
+
 def test_limit_refusal():
     with pytest.raises(PartitionLimitError):
         enumerate_partitions(11)

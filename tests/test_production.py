@@ -149,6 +149,46 @@ def test_revenue_excludes_tax(example3):
     assert production_revenue(example3, [1], 10) == 600
 
 
+def _on_segment(segments, z, tax):
+    """value + slope * (z - lo) - tax * z in Fraction arithmetic on the last
+    segment with lo <= z, kept as the oracle for the one-Fraction reading."""
+    segment = [s for s in segments if s.lo <= z][-1]
+    return segment.value + segment.slope * (z - segment.lo) - tax * z
+
+
+def test_values_on_the_curve_match_the_fraction_formula():
+    checked = 0
+    for sit in _sweep_economies():
+        for fs in lex_coalitions(sit.firms()):
+            segments = production._curve(sit, fs)
+            top = segments[-1].hi
+            points = {F(0), top + F(1, 3), 2 * top + 7}
+            for s in segments:
+                points |= {s.lo, s.hi, (s.lo + s.hi) / 2, s.lo + (s.hi - s.lo) / 7}
+            for z in points:
+                assert production_revenue(sit, fs, z) == _on_segment(segments, z, 0)
+                assert coalition_value(sit, fs, z) == _on_segment(segments, z, sit.tax)
+                checked += 1
+        grand = sit.firms()
+        for z in (3, "7/2", "1.25"):
+            assert coalition_value(sit, grand, z) == _on_segment(
+                production._curve(sit, frozenset(grand)), F(z), sit.tax)
+    assert checked > 5000
+
+
+@pytest.mark.parametrize("evaluate", [coalition_value, production_revenue])
+def test_values_refuse_negative_permits_and_unknown_firms(example3, evaluate):
+    with pytest.raises(SituationError, match="nonnegative"):
+        evaluate(example3, [1], F(-1, 3))
+    with pytest.raises(SituationError, match="nonnegative"):
+        evaluate(example3, [4], -1)  # the quantity is checked first
+    for members in ([1, 4], [0], ["1"]):
+        with pytest.raises(SituationError, match="unknown firm"):
+            evaluate(example3, members, 1)
+    with pytest.raises(SituationError, match="nonempty"):
+        evaluate(example3, [], 1)
+
+
 def _reference_economy(tax=14):
     return Situation.create(
         production=[[2, 3], [3, 2], [1, 1]], endowments=[[40, 60, 80], [60, 40, 50]],
@@ -315,6 +355,7 @@ _REAL_SEGMENT = lp._segment
 _REAL_READ_BASIS = lp._read_basis
 _REAL_SOLVE = lp.solve
 _REAL_SWEEP = lp.BasisTable.sweep
+_REAL_ENTER = lp.BasisTable._enter
 
 
 def _wrong_slope(segment, ends):
@@ -374,6 +415,34 @@ def _corrupt_entries(patch, from_pivot):
     patch(lp, "_read_basis", read_basis)
 
 
+def _raise_weights(entry):
+    entry.weights[:] = [w + 1 for w in entry.weights]
+
+
+def _raise_factors(entry):
+    entry.basic[:] = [(r, col, factor + 1) for r, col, factor in entry.basic]
+
+
+def _raise_inverse(entry):
+    for row in entry.inverse:
+        row[0] += 1
+
+
+# Corruptions of what a table entry caches after its dual check.
+CACHED_CORRUPTIONS = [_raise_weights, _raise_factors, _raise_inverse]
+
+
+def _corrupt_cached(patch, corrupt):
+    """Corrupt a cached field of every basis as it enters a table, after its
+    dual has passed the feasibility check."""
+    def enter(table, *args):
+        entry = _REAL_ENTER(table, *args)
+        corrupt(entry)
+        return entry
+
+    patch(lp.BasisTable, "_enter", enter)
+
+
 def _demands_in_lex_order(sit):
     return [optimal_demand(sit, fs) for fs in lex_coalitions(sit.firms())]
 
@@ -395,6 +464,36 @@ def test_an_infeasible_dual_is_refused_when_it_enters_the_table(monkeypatch, fro
         _demands_in_lex_order(sit)
     assert len(sit._bases) == from_pivot
     assert sit._memo == {}
+
+
+@pytest.mark.parametrize("corrupt", CACHED_CORRUPTIONS)
+def test_a_corrupted_cached_basis_field_is_refused(monkeypatch, corrupt):
+    _corrupt_cached(monkeypatch.setattr, corrupt)
+    with pytest.raises(RuntimeError):
+        _demands_in_lex_order(_reference_economy())
+
+
+def test_corrupted_cached_basis_fields_are_refused_under_python_O():
+    script = """
+import sys
+import test_production as t
+for corrupt in t.CACHED_CORRUPTIONS:
+    t._corrupt_cached(setattr, corrupt)
+    try:
+        t._demands_in_lex_order(t._reference_economy())
+    except RuntimeError as exc:
+        print("raised", exc)
+print("optimize", sys.flags.optimize)
+"""
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-1] == "optimize 1"
+    assert len(lines) == 4 and all(line.startswith("raised") for line in lines[:3])
+    assert "strong duality failed" in lines[0]
 
 
 def _example3_demands_exit_three(capsys):

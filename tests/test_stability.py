@@ -198,6 +198,52 @@ def test_partition_first_core_matches_the_lp_first_oracle(rule, example3):
     assert "partition" in kinds and len(kinds) >= 2
 
 
+def _fraction_scan(game):
+    """The over-claiming partition scan in Fraction sums (the first strictly
+    largest partition in enumeration order), kept as the oracle, and the
+    number of partitions that reach its total."""
+    n, grand = len(game.players), game.grand_value
+    totals = []
+    for partition in enumerate_partitions(n, limit=n):
+        blocks = [frozenset(game.players[i - 1] for i in block) for block in partition]
+        totals.append((sum((game.values[b] for b in blocks), F(0)), blocks))
+    best, best_total = None, grand
+    for total, blocks in totals:
+        if total > best_total:
+            best, best_total = blocks, total
+    if best is None:
+        return None, 0
+    ties = sum(total == best_total for total, _ in totals)
+    return CoreCertificate(kind="partition", parts=tuple((b, F(1)) for b in best),
+                           weighted_total=best_total, grand_value=grand), ties
+
+
+def _small_worth_game(rng, players):
+    """Worths in halves from 0 to 2, so that many partitions tie."""
+    return CharacteristicGame(players=players, values={
+        fs: F(rng.randint(0, 4), 2) for fs in lex_coalitions(players)})
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_over_claiming_scan_matches_the_fraction_scan(rule, example3):
+    rng = random.Random(RULES.index(rule) + 90)
+    games = list(_derived_games(build_game(example3, rule)))
+    for n_firms in (2, 3, 4, 5):
+        sit = None
+        while sit is None:
+            sit = support.scarce_situation(rng, n_firms=n_firms)
+        games += _derived_games(build_game(sit, rule))
+    for players in ((1, 2, 3), (1, 2, 3, 4), (3, 1, 4), (2, 5, 7, 9, 11)):
+        games += [_small_worth_game(rng, players) for _ in range(6)]
+    found = tied = 0
+    for game in games:
+        expected, ties = _fraction_scan(game)
+        assert stability._over_claiming_partition(game) == expected
+        found += expected is not None
+        tied += ties > 1
+    assert found >= 10 and tied >= 5
+
+
 def test_over_claiming_game_solves_no_core_lp(cea_game, monkeypatch):
     programs = []
 
