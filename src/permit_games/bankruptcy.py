@@ -23,7 +23,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Hashable, Iterable, Sequence
 
-from .games import CharacteristicGame
 from .lp import as_fraction
 
 ZERO = Fraction(0)
@@ -180,15 +179,3 @@ def apply_rule(rule: str, problem: BankruptcyProblem) -> tuple[Fraction, ...]:
     """Divide the estate; the result is bounded by the claims and exhausts it."""
     return allocate(rule, problem.claims, problem.estate)
 
-
-def bankruptcy_game(problem: BankruptcyProblem) -> CharacteristicGame:
-    """v(S) = max(estate - sum of outside claims, 0), over positional players 1..k."""
-    k = len(problem.claimants)
-    total = sum(problem.claims, ZERO)
-    players = tuple(range(1, k + 1))
-    values = {}
-    for mask in range(1, 1 << k):
-        inside = frozenset(i + 1 for i in range(k) if mask & (1 << i))
-        outside = total - sum((problem.claims[i - 1] for i in inside), ZERO)
-        values[inside] = max(problem.estate - outside, ZERO)
-    return CharacteristicGame(players=players, values=values)

@@ -303,9 +303,8 @@ def _cmd_mechanism(scenario, args):
     sec = report.section(
         f"direct mechanism under {scenario.rule} [{scenario.name}]",
         ["claimant", "true demand", "report grid"])
-    for i, block in enumerate(cfg.structure):
-        sec.add_row(coalition_label(block), cfg.true_demands[i],
-                    ", ".join(str(v) for v in cfg.grids[i]))
+    for i, (demand, grid) in enumerate(zip(cfg.true_demands, cfg.grids)):
+        sec.add_row(f"{{{i + 1}}}", demand, ", ".join(str(v) for v in grid))
     dom = dominance_check(sit, cfg)
     eq = equilibrium_check(sit, cfg, cfg.truthful_profile)
     out = report.section("verdict")
@@ -316,7 +315,7 @@ def _cmd_mechanism(scenario, args):
         bad = dom.counterexample
         out.add_line("truth-telling is NOT dominant:")
         out.add_line(
-            f"  claimant {coalition_label(cfg.structure[bad.claimant])} reports "
+            f"  claimant {{{bad.claimant + 1}}} reports "
             f"{bad.deviation} against {tuple(str(v) for v in bad.opponent_reports)} "
             f"and improves {decimal_str(bad.truthful_payoff, precision)} -> "
             f"{decimal_str(bad.deviant_payoff, precision)}")

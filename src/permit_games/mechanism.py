@@ -1,12 +1,14 @@
 """Direct mechanism: firms report permit needs, a rule divides the cap.
 
-Claimants are the blocks of a fixed coalition structure (singletons by
-default).  Each block reports a need and ``allocate`` (the serve-or-ration
-step of ``bankruptcy``, shared with the partition games) serves the reports
-in full under the cap or rations them by the announced rule.  A block's
-payoff is its best profit from its own endowment at the allocated quantity,
-tax included.  Truthfulness checks run exhaustively over finite report grids,
-so they are desk-scale verifications rather than proofs over a continuum.
+Claimants are the economy's firms: claimant i is firm i + 1.  A coalition
+that reports as one claimant is the firm of the merged economy, whose
+endowments are its members' summed.  Each firm reports a need and
+``allocate`` (the serve-or-ration step of ``bankruptcy``, shared with the
+partition games) serves the reports in full under the cap or rations them
+by the announced rule.  A firm's payoff is its best profit from its own
+endowment at the allocated quantity, tax included.  Truthfulness checks run
+exhaustively over finite report grids, so they are desk-scale verifications
+rather than proofs over a continuum.
 
 Both checks, ``dominance_check`` and ``equilibrium_check``, run one kernel
 over (claimant, reference profile, deviation) cells, in integer units.  It
@@ -31,7 +33,6 @@ from typing import Optional, Sequence
 from . import bankruptcy
 from .bankruptcy import allocate, ration
 from .lp import as_fraction
-from .partitions import Partition, singleton_partition
 from .production import Situation, coalition_value, optimal_demand
 
 ZERO = Fraction(0)
@@ -45,44 +46,40 @@ class GridSizeError(ValueError):
 
 @dataclass(frozen=True)
 class MechanismConfig:
+    """One report grid and one true demand per firm; claimant i is firm i + 1."""
+
     rule: str
-    structure: Partition
     grids: tuple[tuple[Fraction, ...], ...]
     true_demands: tuple[Fraction, ...]
 
     @property
     def claimants(self) -> int:
-        return len(self.structure)
+        return len(self.true_demands)
 
     @property
     def truthful_profile(self) -> tuple[Fraction, ...]:
         return self.true_demands
 
 
-def make_config(sit: Situation, rule: str, structure: Optional[Partition] = None,
-                grid=None) -> MechanismConfig:
-    """Assemble a config; every grid always contains the block's true demand.
+def make_config(sit: Situation, rule: str, grid=None) -> MechanismConfig:
+    """One report grid per firm, each holding its firm's true demand; a
+    coalition that reports as one claimant is the firm of the merged economy.
 
     ``grid`` may be None (a small default including the truthful rationing
-    water level) or one sequence of levels shared by all claimants.
+    water level) or one iterable of levels, read once and shared by all firms.
+    ``_check_config`` vets the result (``ValueError``).
     """
     rule = bankruptcy.check_rule(rule)
-    structure = structure or singleton_partition(sit.n_firms)
-    blocks = [frozenset(b) for b in structure]
-    demands = tuple(optimal_demand(sit, b) for b in blocks)
+    demands = tuple(optimal_demand(sit, [i + 1]) for i in range(sit.n_firms))
     if grid is None:
-        levels_by_claimant = [_default_levels(sit, demands, i) for i in range(len(blocks))]
+        levels_by_claimant = [_default_levels(sit, demands, i) for i in range(len(demands))]
     else:
-        levels_by_claimant = [grid] * len(blocks)
-    grids = []
-    for levels, demand in zip(levels_by_claimant, demands):
-        values = {as_fraction(v) for v in levels}
-        values.add(demand)
-        if any(v < 0 for v in values):
-            raise ValueError("report levels must be nonnegative")
-        grids.append(tuple(sorted(values)))
-    return MechanismConfig(
-        rule=rule, structure=structure, grids=tuple(grids), true_demands=demands)
+        levels_by_claimant = [tuple(grid)] * len(demands)
+    cfg = MechanismConfig(rule=rule, true_demands=demands, grids=tuple(
+        tuple(sorted({*map(as_fraction, levels), demand}))
+        for levels, demand in zip(levels_by_claimant, demands)))
+    _check_config(sit, cfg)
+    return cfg
 
 
 def _default_levels(sit: Situation, demands, i) -> list[Fraction]:
@@ -105,25 +102,32 @@ def _report_profile(cfg: MechanismConfig, reports: Sequence) -> tuple[Fraction, 
 
 def mechanism_payoff(sit: Situation, cfg: MechanismConfig,
                      reports: Sequence, claimant: int) -> Fraction:
-    """Profit of claimant block ``claimant`` (0-based) under the reported needs."""
+    """Profit of firm ``claimant + 1`` under the reported needs; ``claimant``
+    is 0-based and must be one of the config's (``ValueError``)."""
+    if not 0 <= claimant < cfg.claimants:
+        raise ValueError(f"claimant {claimant} is not one of 0..{cfg.claimants - 1}")
     awards = allocate(cfg.rule, _report_profile(cfg, reports), sit.cap)
-    return coalition_value(sit, cfg.structure[claimant], awards[claimant])
+    return coalition_value(sit, [claimant + 1], awards[claimant])
 
 
 def _check_config(sit: Situation, cfg: MechanismConfig) -> None:
-    """Refuse a config whose true demands are not this economy's, whose grids
-    hold a negative report, or whose grid lacks its claimant's true demand:
-    the checks skip cells on the strength of each block's profit peaking at
-    its demand, which says nothing of negative awards, and dominance walks
-    each claimant from its truth.  Explicit checks, so they also run under
+    """Refuse a config without one report grid per firm (a coalition that
+    reports as one claimant is the firm of the merged economy), whose true
+    demands are not the firms' optimal demands, whose grids hold a negative
+    report, or whose grid lacks its firm's true demand: the checks skip cells
+    on the strength of each firm's profit peaking at its demand, which says
+    nothing of negative awards, and dominance walks each claimant from its
+    truth.  Explicit checks that run before anything is rationed, also under
     ``python -O``."""
+    if len(cfg.grids) != sit.n_firms:
+        raise ValueError(f"{len(cfg.grids)} report grids for {sit.n_firms} firms")
     if any(v < 0 for g in cfg.grids for v in g):
         raise ValueError("report levels must be nonnegative")
-    demands = tuple(optimal_demand(sit, block) for block in cfg.structure)
+    demands = tuple(optimal_demand(sit, [i + 1]) for i in range(sit.n_firms))
     if cfg.true_demands != demands:
         raise ValueError(
             f"true demands ({', '.join(map(str, cfg.true_demands))}) are not the "
-            f"optimal demands ({', '.join(map(str, demands))}) of this economy's claimants")
+            f"optimal demands ({', '.join(map(str, demands))}) of this economy's firms")
     for i, (grid, demand) in enumerate(zip(cfg.grids, demands)):
         if demand not in grid:
             raise ValueError(f"the report grid of claimant {i} lacks its true demand {demand}")
@@ -181,7 +185,7 @@ def _walk(sit: Situation, cfg: MechanismConfig, grids: Sequence[Sequence[Fractio
         key = (award // common, den // common)
         found = values[i].get(key)
         if found is None:
-            found = coalition_value(sit, cfg.structure[i], Fraction(award, den * scale))
+            found = coalition_value(sit, [i + 1], Fraction(award, den * scale))
             found = values[i][key] = (found.numerator, found.denominator)
         return found
 

@@ -49,10 +49,6 @@ def enumerate_partitions(n: int, limit: int = DEFAULT_LIMIT) -> tuple[Partition,
     return tuple(partitions)
 
 
-def singleton_partition(n: int) -> Partition:
-    return tuple((i,) for i in range(1, n + 1))
-
-
 def block_with_singletons(members, n: int) -> Partition:
     """The partition whose only non-trivial block is ``members``."""
     block = tuple(sorted(members))

@@ -50,10 +50,6 @@ def exact_str(x: Fraction) -> str:
     return str(x)
 
 
-def show(x: Fraction, digits: int) -> str:
-    return f"{exact_str(x)} ({decimal_str(x, digits)})"
-
-
 def coalition_label(members: Iterable[int]) -> str:
     return "{" + ",".join(str(i) for i in sorted(members)) + "}"
 
@@ -95,12 +91,13 @@ class Report:
         raise ValueError(f"unknown format {fmt!r}; choose one of {', '.join(FORMATS)}")
 
 
-def _cell_text(cell: Cell, precision: int) -> str:
-    if isinstance(cell, Fraction):
-        return show(cell, precision)
-    if isinstance(cell, int):
-        return show(Fraction(cell), precision)
-    return str(cell)
+def _cell(cell: Cell, precision: int) -> tuple[str, str, str]:
+    """(text, exact, decimal) of a cell: a number is ("", exact, decimal),
+    anything else (text, "", "")."""
+    if isinstance(cell, (Fraction, int)):
+        frac = Fraction(cell)
+        return "", exact_str(frac), decimal_str(frac, precision)
+    return str(cell), "", ""
 
 
 def _render_table(report: Report, precision: int) -> str:
@@ -110,7 +107,8 @@ def _render_table(report: Report, precision: int) -> str:
         if sec.columns:
             grid = [list(sec.columns)]
             for row in sec.rows:
-                grid.append([_cell_text(c, precision) for c in row])
+                grid.append([f"{exact} ({decimal})" if exact else text
+                             for text, exact, decimal in (_cell(c, precision) for c in row)])
             widths = [max(len(r[k]) for r in grid) for k in range(len(sec.columns))]
             for idx, row in enumerate(grid):
                 out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
@@ -129,13 +127,7 @@ def _render_csv(report: Report, precision: int) -> str:
         if sec.columns:
             for r, row in enumerate(sec.rows):
                 for name, cell in zip(sec.columns, row):
-                    if isinstance(cell, (Fraction, int)):
-                        frac = Fraction(cell)
-                        writer.writerow([
-                            sec.title, r, name, "",
-                            exact_str(frac), decimal_str(frac, precision)])
-                    else:
-                        writer.writerow([sec.title, r, name, str(cell), "", ""])
+                    writer.writerow([sec.title, r, name, *_cell(cell, precision)])
         for r, line in enumerate(sec.lines):
             writer.writerow([sec.title, r, "note", line, "", ""])
     return buffer.getvalue()
@@ -150,13 +142,8 @@ def _render_json(report: Report, precision: int) -> str:
             for row in sec.rows:
                 obj = {}
                 for name, cell in zip(sec.columns, row):
-                    if isinstance(cell, (Fraction, int)):
-                        frac = Fraction(cell)
-                        obj[name] = {
-                            "exact": exact_str(frac),
-                            "decimal": decimal_str(frac, precision)}
-                    else:
-                        obj[name] = str(cell)
+                    text, exact, decimal = _cell(cell, precision)
+                    obj[name] = {"exact": exact, "decimal": decimal} if exact else text
                 rows.append(obj)
             entry["columns"] = list(sec.columns)
             entry["rows"] = rows

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from permit_games import lp
+from permit_games.games import CharacteristicGame
 from permit_games.production import Situation
 
 F = Fraction
@@ -142,6 +143,15 @@ def scarce_situation(rng: random.Random, **kwargs):
     return dataclasses.replace(sit, cap=d_grand * share)
 
 
+def merged_situation(sit: Situation, structure) -> Situation:
+    """The economy whose firm j holds the summed endowments of block j of
+    ``structure``: the blocks report as single firms."""
+    import dataclasses
+
+    return dataclasses.replace(sit, endowments=tuple(
+        zip(*(sit.coalition_endowment(block) for block in structure))))
+
+
 def rand_bankruptcy_problem(rng: random.Random, max_claimants=6):
     from permit_games.bankruptcy import BankruptcyProblem
 
@@ -154,3 +164,16 @@ def rand_bankruptcy_problem(rng: random.Random, max_claimants=6):
         estate = total * F(rng.randint(0, 10), 10)
     return BankruptcyProblem.create(
         claimants=tuple(range(1, n + 1)), estate=estate, claims=claims)
+
+
+def bankruptcy_game(problem) -> CharacteristicGame:
+    """v(S) = max(estate - sum of outside claims, 0), over positional players 1..k."""
+    k = len(problem.claimants)
+    total = sum(problem.claims, F(0))
+    players = tuple(range(1, k + 1))
+    values = {}
+    for mask in range(1, 1 << k):
+        inside = frozenset(i + 1 for i in range(k) if mask & (1 << i))
+        outside = total - sum((problem.claims[i - 1] for i in inside), F(0))
+        values[inside] = max(problem.estate - outside, F(0))
+    return CharacteristicGame(players=players, values=values)

@@ -16,7 +16,6 @@ from permit_games.bankruptcy import (
     BankruptcyProblem,
     RULES,
     apply_rule,
-    bankruptcy_game,
 )
 from permit_games.mechanism import allocate, dominance_check, make_config, mechanism_payoff
 from permit_games.partition_games import (
@@ -32,6 +31,7 @@ from permit_games.report import decimal_str
 from permit_games.stability import core_nonempty, in_core, owen_allocation, stable_pipeline, trade_ledger
 
 import support
+from support import bankruptcy_game
 
 F = Fraction
 
@@ -235,7 +235,7 @@ def test_criterion_09_truthfulness_of_cea_at_grid_scale(example3):
         if not outcome.truthful_dominant:
             counterexamples += 1
         for i in range(cfg.claimants):
-            best = coalition_value(sit, cfg.structure[i], cfg.true_demands[i])
+            best = coalition_value(sit, [i + 1], cfg.true_demands[i])
             for level in cfg.grids[i]:
                 profile = list(cfg.true_demands)
                 profile[i] = level

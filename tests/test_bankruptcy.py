@@ -13,13 +13,13 @@ from permit_games.bankruptcy import (
     RationingError,
     allocate,
     apply_rule,
-    bankruptcy_game,
     ration,
 )
 from permit_games.partition_games import build_game
 from permit_games.stability import in_core
 
 import support
+from support import bankruptcy_game
 
 F = Fraction
 

@@ -98,11 +98,25 @@ def test_single_claimant_truth_dominant():
 
 
 def test_block_claimant_structure(example3):
-    cfg = make_config(
-        example3, "cea", structure=((1, 2), (3,)), grid=[0, 10, 20, 25, 40, 50])
+    merged = support.merged_situation(example3, ((1, 2), (3,)))
+    cfg = make_config(merged, "cea", grid=[0, 10, 20, 25, 40, 50])
     assert cfg.true_demands == (40, 25)
-    report = dominance_check(example3, cfg)
+    report = dominance_check(merged, cfg)
     assert report.truthful_dominant
+
+
+def test_make_config_reads_the_grid_once(example3):
+    cfg = make_config(example3, "cea", grid=iter([0, 10, 50]))
+    assert cfg.grids == ((0, 10, 20, 50), (0, 10, 20, 50), (0, 10, 25, 50))
+    assert cfg == make_config(example3, "cea", grid=[0, 10, 50])
+
+
+def test_payoff_refuses_a_claimant_outside_the_firms(example3):
+    cfg = make_config(example3, "cea", grid=REFERENCE_GRID)
+    assert mechanism_payoff(example3, cfg, cfg.truthful_profile, 2) == F(2300, 3)
+    for claimant in (-1, 3, 5):
+        with pytest.raises(ValueError, match=f"claimant {claimant} is not one of 0..2"):
+            mechanism_payoff(example3, cfg, cfg.truthful_profile, claimant)
 
 
 def test_cea_dominant_on_random_instances_and_grids():
@@ -119,7 +133,7 @@ def test_cea_dominant_on_random_instances_and_grids():
         assert report.truthful_dominant, (sit, report.counterexample)
         # payoffs can never beat the profit at the true demand
         for i in range(cfg.claimants):
-            cap_value = coalition_value(sit, cfg.structure[i], cfg.true_demands[i])
+            cap_value = coalition_value(sit, [i + 1], cfg.true_demands[i])
             for level in cfg.grids[i]:
                 profile = list(cfg.true_demands)
                 profile[i] = level
@@ -241,8 +255,8 @@ BLOCK_STRUCTURES = {
 
 
 def _oracle_cases(rule, count):
-    """Seeded economies with 2-4 claimants, singleton and block structures,
-    default and explicit grids."""
+    """Seeded economies with 2-4 firms, some of them merged from 3-4 firms by
+    a block structure, default and explicit grids."""
     rng = random.Random(7000 + RULES.index(rule))
     cases = []
     while len(cases) < count:
@@ -250,13 +264,12 @@ def _oracle_cases(rule, count):
         sit = support.scarce_situation(rng, n_firms=n)
         if sit is None:
             continue
-        structure = None
         if len(cases) % 2 and n >= 3:
-            structure = rng.choice(BLOCK_STRUCTURES[n])
+            sit = support.merged_situation(sit, rng.choice(BLOCK_STRUCTURES[n]))
         grid = None
         if len(cases) % 4 >= 2:
             grid = [support.rand_fraction(rng, 0, 15) for _ in range(3)] + [sit.cap]
-        cases.append((sit, make_config(sit, rule, structure=structure, grid=grid)))
+        cases.append((sit, make_config(sit, rule, grid=grid)))
     return cases
 
 
@@ -426,6 +439,19 @@ def test_mechanism_checks_refuse_what_the_skip_rules_cannot_rely_on(monkeypatch,
         equilibrium_check(example3, cfg, cfg.truthful_profile)
 
 
+def test_mechanism_checks_refuse_a_grid_count_other_than_the_firm_count(monkeypatch, example3):
+    cfg = make_config(example3, "cea", grid=REFERENCE_GRID)
+    allocations, valuations = _count_work(monkeypatch)
+    monkeypatch.setattr(mechanism, "allocate", lambda *args: allocations.append(args))
+    for grids in (cfg.grids + cfg.grids[:1], cfg.grids[:-1]):
+        wrong = dataclasses.replace(cfg, grids=grids)
+        with pytest.raises(ValueError, match=f"{len(grids)} report grids for 3 firms"):
+            dominance_check(example3, wrong)
+        with pytest.raises(ValueError, match=f"{len(grids)} report grids for 3 firms"):
+            equilibrium_check(example3, wrong, wrong.truthful_profile)
+    assert allocations == [] and not valuations
+
+
 def test_mechanism_checks_refuse_a_grid_without_the_true_demand(example3):
     cfg = make_config(example3, "cea", grid=REFERENCE_GRID)
     untruthful = dataclasses.replace(
@@ -450,10 +476,16 @@ sit = Situation.create(production=[[2, 3], [3, 2], [1, 1]],
                        prices=[50, 60], tax=14, cap=50)
 cfg = make_config(sit, "cea", grid=test_mechanism.REFERENCE_GRID)
 wrong = dataclasses.replace(cfg, true_demands=(20, 20, 30))
+extra = dataclasses.replace(cfg, grids=cfg.grids + cfg.grids[:1])
+short = dataclasses.replace(cfg, grids=cfg.grids[:-1])
 for check in (lambda: dominance_check(sit, cfg),
               lambda: equilibrium_check(sit, cfg, (30, 20, 25)),
               lambda: dominance_check(sit, wrong),
-              lambda: equilibrium_check(sit, wrong, (30, 20, 25))):
+              lambda: equilibrium_check(sit, wrong, (30, 20, 25)),
+              lambda: dominance_check(sit, extra),
+              lambda: equilibrium_check(sit, extra, (30, 20, 25)),
+              lambda: dominance_check(sit, short),
+              lambda: equilibrium_check(sit, short, (30, 20, 25))):
     try:
         check()
     except (RuntimeError, ValueError) as exc:
@@ -472,9 +504,12 @@ print("optimize", sys.flags.optimize)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[-1] == "optimize 1"
-    assert len(lines) == 6
+    assert len(lines) == 10
     assert all(line.startswith("raised RuntimeError") and "exhaust" in line
                for line in lines[:2])
     assert all(line.startswith("raised ValueError") and "optimal demands" in line
                for line in lines[2:4])
-    assert lines[4].startswith("raised RuntimeError") and "more than its claim" in lines[4]
+    # refused before the halving rule rations anything
+    assert lines[4:8] == [f"raised ValueError {n} report grids for 3 firms"
+                          for n in (4, 4, 2, 2)]
+    assert lines[8].startswith("raised RuntimeError") and "more than its claim" in lines[8]

@@ -5,7 +5,6 @@ from permit_games.partitions import (
     bell_number,
     block_with_singletons,
     enumerate_partitions,
-    singleton_partition,
 )
 
 
@@ -75,6 +74,5 @@ def test_limit_refusal():
 
 
 def test_helpers():
-    assert singleton_partition(3) == ((1,), (2,), (3,))
     assert block_with_singletons({2, 3}, 4) == ((1,), (2, 3), (4,))
     assert block_with_singletons({1, 4}, 4) == ((1, 4), (2,), (3,))
