@@ -13,19 +13,15 @@ its Fraction inputs by ``lcm`` of the denominators and turns the integer
 awards back into Fractions.  Callers that ration many claim vectors on one
 scale call ``ration`` directly: ``build_game`` scales the demands and the
 cap once per game, and the truthfulness check its report grids once per
-call.
+call.  ``apply_rule`` is an alias of ``allocate`` kept only because the
+benchmark tracer wraps it by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Hashable, Iterable, Sequence
-
-from .lp import as_fraction
-
-ZERO = Fraction(0)
+from typing import Sequence
 
 CEA = "cea"
 CEL = "cel"
@@ -43,42 +39,6 @@ def check_rule(rule: str) -> str:
     if rule not in RULES:
         raise RationingError(f"unknown rule {rule!r}; choose one of {', '.join(RULES)}")
     return rule
-
-
-@dataclass(frozen=True)
-class BankruptcyProblem:
-    """Estate to divide among claimants whose claims sum to at least the estate.
-
-    Claimants are arbitrary hashable identifiers: firms in the standard case,
-    coalition blocks when a partition coordinates the claims.
-    """
-
-    claimants: tuple[Hashable, ...]
-    estate: Fraction
-    claims: tuple[Fraction, ...]
-
-    @classmethod
-    def create(cls, claimants: Iterable[Hashable], estate, claims) -> "BankruptcyProblem":
-        return cls(
-            claimants=tuple(claimants),
-            estate=as_fraction(estate),
-            claims=tuple(as_fraction(d) for d in claims),
-        )
-
-    def __post_init__(self):
-        if len(self.claimants) != len(self.claims):
-            raise RationingError(
-                f"{len(self.claimants)} claimants but {len(self.claims)} claims")
-        if len(set(self.claimants)) != len(self.claimants):
-            raise RationingError("claimant identifiers repeat")
-        if self.estate < 0:
-            raise RationingError(f"estate must be nonnegative (got {self.estate})")
-        if any(d < 0 for d in self.claims):
-            raise RationingError("claims must be nonnegative")
-        if sum(self.claims, ZERO) < self.estate:
-            raise RationingError(
-                f"claims sum {sum(self.claims, ZERO)} falls short of the estate "
-                f"{self.estate}; the abundant case is the caller's business")
 
 
 def _cea(cap: int, claims: Sequence[int]) -> tuple[list[int], int]:
@@ -175,7 +135,7 @@ def allocate(rule: str, claims: Sequence[Fraction], cap: Fraction) -> tuple[Frac
     return tuple(Fraction(a, den * scale) for a in nums)
 
 
-def apply_rule(rule: str, problem: BankruptcyProblem) -> tuple[Fraction, ...]:
-    """Divide the estate; the result is bounded by the claims and exhausts it."""
-    return allocate(rule, problem.claims, problem.estate)
-
+def apply_rule(rule: str, claims: Sequence[Fraction], cap: Fraction) -> tuple[Fraction, ...]:
+    """``allocate`` under the name the benchmark tracer wraps; nothing in the
+    package calls it."""
+    return allocate(rule, claims, cap)

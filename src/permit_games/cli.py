@@ -11,29 +11,24 @@ Output is deterministic for identical input: no timestamps, stable ordering.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from fractions import Fraction
 
 from . import bankruptcy
 from .games import lex_coalitions
-from .lp import LpStructureError, as_fraction
+from .lp import LpStructureError
 from .mechanism import GridSizeError, dominance_check, equilibrium_check, make_config
 from .partition_games import MINUS, PLUS, build_game, optimistic_game, pessimistic_game, resource_game, resource_witnesses
 from .partitions import PartitionLimitError
 from .production import SituationError, optimal_demand
 from .reference import run_reference_checks
-from .report import FORMATS, Report, coalition_label, decimal_str, partition_label
-from .scenario import Scenario, ScenarioError, dump_scenario, load_scenario, parse_grid
+from .report import FORMATS, MAX_PRECISION, Report, coalition_label, decimal_str, partition_label
+from .scenario import ScenarioError, dump_scenario, exact, load_scenario, parse_grid
 from .stability import CoreVerdict, TargetError, core_nonempty, stable_pipeline, trade_ledger
 
 INPUT_ERRORS = (
     ScenarioError, SituationError, bankruptcy.RationingError,
     PartitionLimitError, GridSizeError, LpStructureError, TargetError,
-)
-
-COMMANDS = (
-    "demands", "game", "cores", "resource-games", "pipeline", "mechanism",
-    "trade", "reproduce-paper",
 )
 
 CORE_CHOICES = ("optimistic", "pessimistic", "resource-plus", "resource-minus", "all")
@@ -106,9 +101,7 @@ def _dispatch(args) -> int:
         return 2
     scenario = load_scenario(args.scenario)
     if args.rule:
-        scenario = Scenario(
-            name=scenario.name, situation=scenario.situation, rule=args.rule,
-            options=scenario.options)
+        scenario = dataclasses.replace(scenario, rule=args.rule)
     if args.dump_scenario is not None:
         dump_scenario(scenario, args.dump_scenario)
     handler = {
@@ -120,8 +113,9 @@ def _dispatch(args) -> int:
         "mechanism": _cmd_mechanism,
         "trade": _cmd_trade,
     }[args.command]
+    precision = _precision(scenario, args)  # refused before any analysis runs
     report, code = handler(scenario, args)
-    print(report.render(_format(scenario, args), _precision(scenario, args)), end="")
+    print(report.render(_format(scenario, args), precision), end="")
     return code
 
 
@@ -129,6 +123,8 @@ def _precision(scenario, args) -> int:
     if args.precision is not None:
         if args.precision < 0:
             raise ScenarioError("--precision must be nonnegative")
+        if args.precision > MAX_PRECISION:
+            raise ScenarioError(f"--precision must be at most {MAX_PRECISION}")
         return args.precision
     return scenario.options.precision
 
@@ -325,22 +321,12 @@ def _cmd_mechanism(scenario, args):
     return report, 0 if dom.truthful_dominant else 1
 
 
-def _parse_number(text: str, what: str) -> Fraction:
-    try:
-        return as_fraction(text.strip())
-    except LpStructureError as exc:
-        raise ScenarioError(f"{what}: {exc}") from None
-
-
-def _parse_vector(text: str, what: str) -> tuple[Fraction, ...]:
-    return tuple(_parse_number(part, what) for part in text.split(","))
-
-
 def _cmd_trade(scenario, args):
     sit = scenario.situation
     precision = _precision(scenario, args)
-    target = _parse_vector(args.target, "--target") if args.target is not None else None
-    price = _parse_number(args.price, "--price") if args.price is not None else None
+    target = (None if args.target is None
+              else tuple(exact(part.strip(), "--target") for part in args.target.split(",")))
+    price = exact(args.price.strip(), "--price") if args.price is not None else None
     pipeline = stable_pipeline(sit, scenario.rule, limit=_limit(scenario, args))
     if not (pipeline.scarce and pipeline.claims_exceed_cap):
         raise ScenarioError(

@@ -317,9 +317,6 @@ class BasisTable:
         self._cost, self._cost_den = _integer_row(self._program.objective)
         self._bases: dict[tuple[int, ...], _Basis] = {}
 
-    def __len__(self) -> int:
-        return len(self._bases)
-
     def sweep(self, rhs: Sequence[int], den: int, k: int) -> list[Segment]:
         """The optimum as row ``k``'s right-hand side z falls from its top
         value to 0, when row i's right-hand side is ``rhs[i] / den``:

@@ -19,7 +19,8 @@ has the best profit there is and cannot gain.  (b) A claimant rationed to
 a < d cannot gain from a deviation awarded at most a.  Only a deviation with
 a larger award is valued, so under CEA no award is valued at all.  Neither
 rule assumes that the rule is claims monotonic.  Both checks refuse more
-than ``DEFAULT_CELL_LIMIT`` payoff cells before they ration anything.
+than ``DEFAULT_CELL_LIMIT`` payoff cells before they ration anything, and
+replay any counterexample through ``mechanism_payoff`` before returning it.
 """
 
 from __future__ import annotations
@@ -232,15 +233,32 @@ def _walk(sit: Situation, cfg: MechanismConfig, grids: Sequence[Sequence[Fractio
                     reference = value(i, award, den)
                 deviant = value(i, deviant_nums[i], deviant_den)
                 if deviant[0] * reference[1] > reference[0] * deviant[1]:
-                    return checked + d + 1, Deviation(
+                    return checked + d + 1, _replayed(sit, cfg, Deviation(
                         claimant=i,
                         opponent_reports=tuple(
                             g[x // s] for g, x, s in zip(grids, base, strides)),
                         deviation=grids[i][d],
                         truthful_payoff=Fraction(*reference),
-                        deviant_payoff=Fraction(*deviant))
+                        deviant_payoff=Fraction(*deviant)))
             checked += sizes[i]
     return checked, None
+
+
+def _replayed(sit: Situation, cfg: MechanismConfig, dev: Deviation) -> Deviation:
+    """Replay a deviation through ``mechanism_payoff``, on the reference
+    profile and on the deviated one: both payoffs must be the reported ones
+    and the deviation must gain, else ``RuntimeError``, an explicit check
+    that also runs under ``python -O``."""
+    profile = list(dev.opponent_reports)
+    truthful = mechanism_payoff(sit, cfg, profile, dev.claimant)
+    profile[dev.claimant] = dev.deviation
+    deviant = mechanism_payoff(sit, cfg, profile, dev.claimant)
+    if (truthful, deviant) != (dev.truthful_payoff, dev.deviant_payoff) or deviant <= truthful:
+        raise RuntimeError(
+            f"deviation of claimant {dev.claimant} to {dev.deviation} does not replay: "
+            f"payoffs {truthful} -> {deviant}, reported {dev.truthful_payoff} -> "
+            f"{dev.deviant_payoff}")
+    return dev
 
 
 @dataclass(frozen=True)

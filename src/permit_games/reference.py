@@ -25,7 +25,7 @@ from .partition_games import (
     resource_game,
 )
 from .production import coalition_value
-from .report import coalition_label, decimal_str, round_fraction
+from .report import coalition_label, decimal_str
 from .scenario import Scenario, loads_scenario
 from .stability import core_nonempty, in_core, owen_allocation, trade_ledger
 
@@ -218,7 +218,7 @@ def run_reference_checks() -> list[CheckResult]:
         render=lambda v: decimal_str(v, 2)))
     checks.append(_table_check(
         "prop-published-profits",
-        lambda key: coalition_value(sit, key[0], round_fraction(prop.shares[key], 2)),
+        lambda key: coalition_value(sit, key[0], round(prop.shares[key], 2)),
         PUBLISHED_PROP_VALUES, render=lambda v: decimal_str(v, 2)))
     prop_minus = resource_game(prop, MINUS)
     checks.append(_table_check(

@@ -21,33 +21,16 @@ CSV = "csv"
 JSON = "json"
 FORMATS = (TABLE, CSV, JSON)
 
-
-def round_half_even(x: Fraction) -> int:
-    floor = x.numerator // x.denominator
-    rest = x - floor
-    if rest > Fraction(1, 2):
-        return floor + 1
-    if rest < Fraction(1, 2):
-        return floor
-    return floor if floor % 2 == 0 else floor + 1
-
-
-def round_fraction(x: Fraction, digits: int) -> Fraction:
-    scale = Fraction(10) ** digits
-    return Fraction(round_half_even(x * scale), 1) / scale
+MAX_PRECISION = 1000  # decimal digits a report may ask for
 
 
 def decimal_str(x: Fraction, digits: int) -> str:
-    scaled = round_half_even(x * Fraction(10) ** digits)
+    scaled = round(x * 10 ** digits)  # Fraction rounds half to even
     sign = "-" if scaled < 0 else ""
     text = str(abs(scaled)).rjust(digits + 1, "0")
     if digits == 0:
         return sign + text
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
-
-
-def exact_str(x: Fraction) -> str:
-    return str(x)
 
 
 def coalition_label(members: Iterable[int]) -> str:
@@ -96,7 +79,7 @@ def _cell(cell: Cell, precision: int) -> tuple[str, str, str]:
     anything else (text, "", "")."""
     if isinstance(cell, (Fraction, int)):
         frac = Fraction(cell)
-        return "", exact_str(frac), decimal_str(frac, precision)
+        return "", str(frac), decimal_str(frac, precision)
     return str(cell), "", ""
 
 

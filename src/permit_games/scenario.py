@@ -9,6 +9,7 @@ exact rational 141/10, never a binary float.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +19,7 @@ from . import bankruptcy
 from .lp import LpStructureError, as_fraction
 from .partitions import DEFAULT_LIMIT
 from .production import Situation, SituationError
-from .report import FORMATS, TABLE, exact_str
+from .report import FORMATS, MAX_PRECISION, TABLE
 
 
 class ScenarioError(ValueError):
@@ -41,7 +42,8 @@ class Scenario:
     options: ScenarioOptions
 
 
-def _exact(value, where: str) -> Fraction:
+def exact(value, where: str) -> Fraction:
+    """``value`` as an exact rational; a ``ScenarioError`` names ``where``."""
     try:
         return as_fraction(value)
     except LpStructureError as exc:
@@ -52,7 +54,7 @@ def _matrix(raw, where: str) -> list[list[Fraction]]:
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise ScenarioError(f"{where}: expected a list of rows")
     return [
-        [_exact(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
+        [exact(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
         for i, row in enumerate(raw)]
 
 
@@ -72,9 +74,9 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         situation = Situation.create(
             production=_matrix(data["production"], "production"),
             endowments=_matrix(data["endowments"], "endowments"),
-            prices=[_exact(p, f"prices[{j}]") for j, p in enumerate(data["prices"])],
-            tax=_exact(data["tax"], "tax"),
-            cap=_exact(data["cap"], "cap"),
+            prices=[exact(p, f"prices[{j}]") for j, p in enumerate(data["prices"])],
+            tax=exact(data["tax"], "tax"),
+            cap=exact(data["cap"], "cap"),
         )
     except SituationError as exc:
         raise ScenarioError(str(exc)) from None
@@ -100,6 +102,8 @@ def _options_from_dict(raw) -> ScenarioOptions:
         precision = raw["precision"]
         if not isinstance(precision, int) or isinstance(precision, bool) or precision < 0:
             raise ScenarioError("options.precision: expected a nonnegative integer")
+        if precision > MAX_PRECISION:
+            raise ScenarioError(f"options.precision: expected at most {MAX_PRECISION} digits")
         options = replace(options, precision=precision)
     if "partition_limit" in raw:
         limit = raw["partition_limit"]
@@ -124,9 +128,9 @@ def parse_grid(spec: Union[str, list, None]) -> Optional[tuple[Fraction, ...]]:
     if isinstance(spec, str):
         if spec.strip().lower() == "auto":
             return None
-        levels = tuple(_exact(p.strip(), "grid") for p in spec.split(",") if p.strip())
+        levels = tuple(exact(p.strip(), "grid") for p in spec.split(",") if p.strip())
     elif isinstance(spec, list):
-        levels = tuple(_exact(v, f"grid[{j}]") for j, v in enumerate(spec))
+        levels = tuple(exact(v, f"grid[{j}]") for j, v in enumerate(spec))
     else:
         raise ScenarioError("grid: expected 'auto', a comma list, or a JSON list")
     if not levels:
@@ -150,11 +154,14 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
         data = json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError:  # a literal past the interpreter's integer digit limit
+        raise ScenarioError(
+            f"a number literal has more than {sys.get_int_max_str_digits()} digits") from None
     return scenario_from_dict(data, name=name)
 
 
 def _number_out(x: Fraction):
-    return int(x) if x.denominator == 1 else exact_str(x)
+    return int(x) if x.denominator == 1 else str(x)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

@@ -7,7 +7,7 @@ reads better in reports; no LP is solved.  Otherwise minimize total payout
 subject to every proper coalition's rationality constraint and compare with
 the grand value.  When the core is still empty the LP dual supplies balanced
 coalition weights whose weighted worths exceed the grand value, an exact
-certificate.
+certificate.  Every certificate is re-checked before it is returned.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def core_nonempty(game: CharacteristicGame) -> CoreVerdict:
         return CoreVerdict(nonempty=True, witness=(grand,))
     over_claim = _over_claiming_partition(game)
     if over_claim is not None:
-        return CoreVerdict(nonempty=False, certificate=over_claim)
+        return CoreVerdict(nonempty=False, certificate=_checked(game, over_claim))
     proper, program = _core_program(game)
     sol = solve(program)
     if sol.status != OPTIMAL:
@@ -120,8 +120,34 @@ def core_nonempty(game: CharacteristicGame) -> CoreVerdict:
             raise RuntimeError("core witness failed its exact membership re-check")
         return verdict
     parts = tuple((fs, -y) for fs, y in zip(proper, sol.dual) if y != 0)
-    return CoreVerdict(nonempty=False, certificate=CoreCertificate(
-        kind="balanced", parts=parts, weighted_total=cheapest, grand_value=grand))
+    return CoreVerdict(nonempty=False, certificate=_checked(game, CoreCertificate(
+        kind="balanced", parts=parts, weighted_total=cheapest, grand_value=grand)))
+
+
+def _checked(game: CharacteristicGame, cert: CoreCertificate) -> CoreCertificate:
+    """Re-check an emptiness certificate in plain Fraction arithmetic, with
+    no call into ``lp``: positive weights on proper coalitions of the game,
+    summing to 1 over the coalitions that hold each player, and weighted
+    worths that equal ``weighted_total`` and exceed the grand value.  A
+    failure is a ``RuntimeError``, an explicit check that also runs under
+    ``python -O``."""
+    everyone = frozenset(game.players)
+    cover = dict.fromkeys(game.players, ZERO)
+    for fs, weight in cert.parts:
+        if weight <= 0 or not fs or not fs < everyone:
+            raise RuntimeError(
+                f"core certificate weighs {sorted(fs)} by {weight}: not a positive "
+                "weight on a proper coalition")
+        for i in fs:
+            cover[i] += weight
+    if any(total != 1 for total in cover.values()):
+        raise RuntimeError("core certificate weights do not sum to 1 for every player")
+    total = sum((weight * game.values[fs] for fs, weight in cert.parts), ZERO)
+    if total != cert.weighted_total or cert.grand_value != game.grand_value:
+        raise RuntimeError("core certificate totals disagree with the game's worths")
+    if total <= game.grand_value:
+        raise RuntimeError("core certificate does not exceed the grand value")
+    return cert
 
 
 def _core_program(game: CharacteristicGame):
@@ -298,10 +324,6 @@ class TradeLedger:
     price: Optional[Fraction] = None
     rows: tuple[TradeRow, ...] = ()
     manager_revenue: Fraction = ZERO
-
-    @property
-    def traded(self) -> bool:
-        return any(r.net_sold != 0 for r in self.rows)
 
 
 def trade_ledger(sit: Situation, permit_split: Sequence, target: Sequence,

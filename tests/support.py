@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 from permit_games import lp
 from permit_games.games import CharacteristicGame
@@ -152,23 +153,27 @@ def merged_situation(sit: Situation, structure) -> Situation:
         zip(*(sit.coalition_endowment(block) for block in structure))))
 
 
-def rand_bankruptcy_problem(rng: random.Random, max_claimants=6):
-    from permit_games.bankruptcy import BankruptcyProblem
+class Rationing(NamedTuple):
+    """A rationing instance in ``allocate``'s argument order."""
 
+    claims: tuple[Fraction, ...]
+    estate: Fraction
+
+
+def rand_bankruptcy_problem(rng: random.Random, max_claimants=6) -> Rationing:
     n = rng.randint(1, max_claimants)
-    claims = [F(rng.randint(0, 20), rng.choice((1, 1, 2))) for _ in range(n)]
+    claims = tuple(F(rng.randint(0, 20), rng.choice((1, 1, 2))) for _ in range(n))
     total = sum(claims)
     if total == 0:
         estate = F(0)
     else:
         estate = total * F(rng.randint(0, 10), 10)
-    return BankruptcyProblem.create(
-        claimants=tuple(range(1, n + 1)), estate=estate, claims=claims)
+    return Rationing(claims, estate)
 
 
-def bankruptcy_game(problem) -> CharacteristicGame:
+def bankruptcy_game(problem: Rationing) -> CharacteristicGame:
     """v(S) = max(estate - sum of outside claims, 0), over positional players 1..k."""
-    k = len(problem.claimants)
+    k = len(problem.claims)
     total = sum(problem.claims, F(0))
     players = tuple(range(1, k + 1))
     values = {}

@@ -344,6 +344,29 @@ def _count_work(monkeypatch):
     return allocations, valuations
 
 
+def _halve_the_walk_awards(patch):
+    """Truthfulness awards rationed wrong in the walk only: ``mechanism_payoff``
+    rations through ``allocate``, which this leaves alone."""
+    real = mechanism.ration
+
+    def halved(rule, claims, cap):
+        nums, den = real(rule, claims, cap)
+        return [a // 2 for a in nums], den
+
+    patch(mechanism, "ration", halved)
+
+
+@pytest.mark.parametrize("check", ["dominance", "equilibrium"])
+def test_a_deviation_that_does_not_replay_is_refused(monkeypatch, example3, check):
+    cfg = make_config(example3, "prop", grid=REFERENCE_GRID)
+    _halve_the_walk_awards(monkeypatch.setattr)
+    with pytest.raises(RuntimeError, match="does not replay"):
+        if check == "dominance":
+            dominance_check(example3, cfg)
+        else:
+            equilibrium_check(example3, cfg, cfg.truthful_profile)
+
+
 def test_dominance_check_rations_each_profile_once(monkeypatch, example3):
     # Under CEA every cell is decided by integer awards: a claimant served its
     # demand skips its row, and a rationed one is never raised by a deviation.
@@ -360,7 +383,9 @@ def test_dominance_check_rations_each_profile_once(monkeypatch, example3):
     assert not dominance_check(example3, prop).truthful_dominant
     # a walk that valued every cell rationed 59 profiles up to the counterexample
     assert len(allocations) == len(set(allocations)) == 11
-    assert set(valuations.values()) == {1}
+    # the walk values the counterexample's two awards once, and its replay
+    # through mechanism_payoff once more
+    assert len(valuations) == 2 and set(valuations.values()) == {2}
 
 
 def test_dominance_check_work_on_four_claimants(monkeypatch):

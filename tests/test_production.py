@@ -324,9 +324,9 @@ def test_table_curves_equal_fresh_sweeps_in_any_order():
             fresh = dataclasses.replace(sit)
             table = fresh._bases
             for fs in order:
-                known = len(table)
+                known = len(table._bases)
                 curve = production._curve(fresh, fs)
-                reused += len(table) == known
+                reused += len(table._bases) == known
                 breaks = {s.lo for s in curve + alone[fs]} | {curve[-1].hi, alone[fs][-1].hi}
                 assert curve[-1].hi == alone[fs][-1].hi
                 for z in breaks:
@@ -462,7 +462,7 @@ def test_an_infeasible_dual_is_refused_when_it_enters_the_table(monkeypatch, fro
     _corrupt_entries(monkeypatch.setattr, from_pivot)
     with pytest.raises(RuntimeError, match="still improves: not optimal"):
         _demands_in_lex_order(sit)
-    assert len(sit._bases) == from_pivot
+    assert len(sit._bases._bases) == from_pivot
     assert sit._memo == {}
 
 

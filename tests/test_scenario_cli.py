@@ -12,7 +12,7 @@ import pytest
 
 from permit_games import bankruptcy, cli
 from permit_games.reference import bundled_scenario
-from permit_games.report import decimal_str, round_fraction
+from permit_games.report import decimal_str
 from permit_games.scenario import (
     ScenarioError,
     dump_scenario,
@@ -105,7 +105,12 @@ def test_rounding_helpers():
     assert decimal_str(F(3, 8), 2) == "0.38"
     assert decimal_str(F(-50, 3), 2) == "-16.67"
     assert decimal_str(F(5), 0) == "5"
-    assert round_fraction(F(200, 13), 2) == F(1538, 100)
+    assert decimal_str(F(-1, 8), 2) == "-0.12"  # negative ties round half-even too
+    assert decimal_str(F(-3, 8), 2) == "-0.38"
+    assert decimal_str(F(5, 2), 0) == "2"
+    assert decimal_str(F(7, 2), 0) == "4"
+    assert decimal_str(F(-5, 2), 0) == "-2"
+    assert decimal_str(F(-1, 3), 0) == "0"
 
 
 @pytest.fixture()
@@ -248,6 +253,38 @@ def test_precision_flag(scenario_path, capsys):
         capsys, "demands", "--scenario", str(scenario_path), "--precision", "4")
     assert code == 0
     assert "40 (40.0000)" in out
+
+
+@pytest.mark.parametrize("precision", [4400, 10 ** 9])
+def test_oversized_precision_is_refused_before_any_analysis(
+        tmp_path, monkeypatch, capsys, precision):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an analysis ran before the precision was checked")
+
+    monkeypatch.setattr(cli, "optimal_demand", unreachable)
+    flag = write_scenario(tmp_path, MINIMAL, "flag.json")
+    option = write_scenario(tmp_path, {**MINIMAL, "options": {"precision": precision}})
+    for argv, message in (
+            (["--scenario", str(flag), "--precision", str(precision)],
+             "error: --precision must be at most 1000\n"),
+            (["--scenario", str(option)],
+             "error: options.precision: expected at most 1000 digits\n")):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "demands", *argv)
+        assert time.perf_counter() - started < 1
+        assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("literal", ["5" * 5000, "5" * 5000 + ".5"],
+                         ids=["integer", "decimal"])
+def test_a_number_literal_past_the_digit_limit_is_an_input_error(tmp_path, capsys, literal):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(MINIMAL).replace('"cap": 50', f'"cap": {literal}'))
+    with pytest.raises(ScenarioError, match=f"more than {sys.get_int_max_str_digits()} digits"):
+        load_scenario(path)
+    code, out, err = run_cli(capsys, "pipeline", "--scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: a number literal has more than ") and err.count("\n") == 1
 
 
 def test_dump_scenario_flag(scenario_path, tmp_path, capsys):

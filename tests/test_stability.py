@@ -1,11 +1,16 @@
 """Core verdicts, priced allocations and trading, pinned to the worked economy."""
 
+import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from permit_games import lp, stability
+from permit_games import cli, lp, stability
 from permit_games.bankruptcy import RULES
 from permit_games.games import CharacteristicGame, lex_coalitions
 from permit_games.partitions import enumerate_partitions
@@ -244,6 +249,113 @@ def test_over_claiming_scan_matches_the_fraction_scan(rule, example3):
     assert found >= 10 and tied >= 5
 
 
+def _flip_dual_signs(patch):
+    """Core LPs whose duals come back negated: a balanced certificate with
+    negative weights."""
+    real = stability.solve
+
+    def flipped(program):
+        sol = real(program)
+        return dataclasses.replace(sol, dual=tuple(-y for y in sol.dual))
+
+    patch(stability, "solve", flipped)
+
+
+def _drop_a_block(patch):
+    """Over-claiming partitions that lose their first block."""
+    real = stability._over_claiming_partition
+
+    def dropped(game):
+        cert = real(game)
+        return None if cert is None else dataclasses.replace(cert, parts=cert.parts[1:])
+
+    patch(stability, "_over_claiming_partition", dropped)
+
+
+def _inflate_the_total(patch):
+    real = stability._over_claiming_partition
+
+    def inflated(game):
+        cert = real(game)
+        return (None if cert is None
+                else dataclasses.replace(cert, weighted_total=cert.weighted_total + 1))
+
+    patch(stability, "_over_claiming_partition", inflated)
+
+
+CERTIFICATE_CORRUPTIONS = [
+    (_flip_dual_signs, "prop", lambda game: resource_game(game, MINUS),
+     "not a positive weight"),
+    (_drop_a_block, "cea", optimistic_game, "do not sum to 1"),
+    (_inflate_the_total, "cea", optimistic_game, "totals disagree"),
+]
+
+
+@pytest.mark.parametrize("corrupt, rule, derive, message", CERTIFICATE_CORRUPTIONS,
+                         ids=["flipped-dual", "dropped-block", "inflated-total"])
+def test_a_corrupted_certificate_is_refused(monkeypatch, example3, corrupt, rule, derive,
+                                            message):
+    game = derive(build_game(example3, rule))
+    honest = core_nonempty(game).certificate
+    corrupt(monkeypatch.setattr)
+    with pytest.raises(RuntimeError, match=message):
+        core_nonempty(game)
+    monkeypatch.undo()
+    assert stability._checked(game, honest) is honest
+
+
+def test_a_corrupted_certificate_exits_three(monkeypatch, capsys):
+    fixture = Path(cli.__file__).with_name("fixtures") / "example3.json"
+    _flip_dual_signs(monkeypatch.setattr)
+    assert cli.main(["cores", "--scenario", str(fixture), "--rule", "prop"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: core certificate ")
+    assert captured.err.count("\n") == 1
+
+
+def test_corrupted_verdicts_are_refused_under_python_O():
+    script = """
+import sys
+import test_mechanism
+import test_stability as t
+from permit_games import mechanism, stability
+from permit_games.reference import bundled_scenario
+
+sit = bundled_scenario().situation
+real = stability.solve, stability._over_claiming_partition, mechanism.ration
+for corrupt, rule, derive, _ in t.CERTIFICATE_CORRUPTIONS:
+    game = derive(t.build_game(sit, rule))
+    corrupt(setattr)
+    try:
+        stability.core_nonempty(game)
+    except RuntimeError as exc:
+        print("raised", exc)
+    stability.solve, stability._over_claiming_partition, mechanism.ration = real
+cfg = mechanism.make_config(sit, "prop", grid=test_mechanism.REFERENCE_GRID)
+test_mechanism._halve_the_walk_awards(setattr)
+for check in (lambda: mechanism.dominance_check(sit, cfg),
+              lambda: mechanism.equilibrium_check(sit, cfg, cfg.truthful_profile)):
+    try:
+        check()
+    except RuntimeError as exc:
+        print("raised", exc)
+print("optimize", sys.flags.optimize)
+"""
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-1] == "optimize 1"
+    assert len(lines) == 6
+    for line, (_, _, _, message) in zip(lines, CERTIFICATE_CORRUPTIONS):
+        assert line.startswith("raised core certificate") and message in line
+    assert all(line.startswith("raised deviation of claimant ") and "does not replay" in line
+               for line in lines[3:5])
+
+
 def test_over_claiming_game_solves_no_core_lp(cea_game, monkeypatch):
     programs = []
 
@@ -339,7 +451,7 @@ def test_trade_ledger_reference(example3):
 def test_trade_ledger_no_trade_fixed_point(example3):
     # autarky profits at these holdings are already efficient, so no trades
     ledger = trade_ledger(example3, [10, 20, 20], [460, 920, 920])
-    assert ledger.feasible and not ledger.traded
+    assert ledger.feasible and all(row.net_sold == 0 for row in ledger.rows)
     assert all(row.net_sold == 0 and row.trade_cash == 0 for row in ledger.rows)
 
 
