@@ -31,7 +31,15 @@ INPUT_ERRORS = (
     PartitionLimitError, GridSizeError, LpStructureError, TargetError,
 )
 
-CORE_CHOICES = ("optimistic", "pessimistic", "resource-plus", "resource-minus", "all")
+# --game choice -> (report title, derived game of a partition game); the
+# lambdas look the functions up when called, so rebinding them is seen.
+CORE_GAMES = {
+    "optimistic": ("optimistic profits", lambda game: optimistic_game(game)),
+    "pessimistic": ("pessimistic profits", lambda game: pessimistic_game(game)),
+    "resource-plus": ("best-case permit allocations", lambda game: resource_game(game, PLUS)),
+    "resource-minus": ("worst-case permit allocations", lambda game: resource_game(game, MINUS)),
+}
+CORE_CHOICES = (*CORE_GAMES, "all")
 
 
 def main(argv=None) -> int:
@@ -114,7 +122,7 @@ def _dispatch(args) -> int:
         "trade": _cmd_trade,
     }[args.command]
     precision = _precision(scenario, args)  # refused before any analysis runs
-    report, code = handler(scenario, args)
+    report, code = handler(scenario, args, precision)
     print(report.render(_format(scenario, args), precision), end="")
     return code
 
@@ -141,7 +149,7 @@ def _limit(scenario, args) -> int:
     return scenario.options.partition_limit
 
 
-def _cmd_demands(scenario, args):
+def _cmd_demands(scenario, args, precision):
     sit = scenario.situation
     limit = _limit(scenario, args)
     if sit.n_firms > limit:
@@ -156,7 +164,7 @@ def _cmd_demands(scenario, args):
     return report, 0
 
 
-def _cmd_game(scenario, args):
+def _cmd_game(scenario, args, precision):
     game = build_game(scenario.situation, scenario.rule, limit=_limit(scenario, args))
     report = Report()
     sec = report.section(
@@ -195,23 +203,15 @@ def _core_section(report, title, game_values, verdict: CoreVerdict, precision):
             f"{decimal_str(cert.grand_value, precision)} = grand value")
 
 
-def _cmd_cores(scenario, args):
+def _cmd_cores(scenario, args, precision):
     sit = scenario.situation
-    precision = _precision(scenario, args)
     game = build_game(sit, scenario.rule, limit=_limit(scenario, args))
-    wanted = args.game
-    derived = []
-    if wanted in ("optimistic", "all"):
-        derived.append(("optimistic profits", optimistic_game(game)))
-    if wanted in ("pessimistic", "all"):
-        derived.append(("pessimistic profits", pessimistic_game(game)))
-    if wanted in ("resource-plus", "all"):
-        derived.append(("best-case permit allocations", resource_game(game, PLUS)))
-    if wanted in ("resource-minus", "all"):
-        derived.append(("worst-case permit allocations", resource_game(game, MINUS)))
+    chosen = CORE_GAMES if args.game == "all" else (args.game,)
     report = Report()
     all_nonempty = True
-    for title, cg in derived:
+    for key in chosen:
+        title, derive = CORE_GAMES[key]
+        cg = derive(game)
         verdict = core_nonempty(cg)
         all_nonempty = all_nonempty and verdict.nonempty
         _core_section(
@@ -220,7 +220,7 @@ def _cmd_cores(scenario, args):
     return report, 0 if all_nonempty else 1
 
 
-def _cmd_resource_games(scenario, args):
+def _cmd_resource_games(scenario, args, precision):
     game = build_game(scenario.situation, scenario.rule, limit=_limit(scenario, args))
     report = Report()
     for sense, title in ((PLUS, "best-case"), (MINUS, "worst-case")):
@@ -233,9 +233,8 @@ def _cmd_resource_games(scenario, args):
     return report, 0
 
 
-def _cmd_pipeline(scenario, args):
+def _cmd_pipeline(scenario, args, precision):
     sit = scenario.situation
-    precision = _precision(scenario, args)
     result = stable_pipeline(sit, scenario.rule, limit=_limit(scenario, args))
     report = Report()
     sec = report.section(
@@ -290,9 +289,8 @@ def _cmd_pipeline(scenario, args):
     return report, code
 
 
-def _cmd_mechanism(scenario, args):
+def _cmd_mechanism(scenario, args, precision):
     sit = scenario.situation
-    precision = _precision(scenario, args)
     grid = parse_grid(args.grid) if args.grid is not None else scenario.options.grid
     cfg = make_config(sit, scenario.rule, grid=grid)
     report = Report()
@@ -302,7 +300,8 @@ def _cmd_mechanism(scenario, args):
     for i, (demand, grid) in enumerate(zip(cfg.true_demands, cfg.grids)):
         sec.add_row(f"{{{i + 1}}}", demand, ", ".join(str(v) for v in grid))
     dom = dominance_check(sit, cfg)
-    eq = equilibrium_check(sit, cfg, cfg.truthful_profile)
+    # the truthful profile is a grid profile, so dominance implies the equilibrium
+    eq_holds = dom.truthful_dominant or equilibrium_check(sit, cfg, cfg.truthful_profile).holds
     out = report.section("verdict")
     out.add_line(f"payoff cells checked: {dom.cells_checked}")
     if dom.truthful_dominant:
@@ -317,13 +316,12 @@ def _cmd_mechanism(scenario, args):
             f"{decimal_str(bad.deviant_payoff, precision)}")
     out.add_line(
         "truthful profile is "
-        + ("an equilibrium" if eq.holds else "NOT an equilibrium"))
+        + ("an equilibrium" if eq_holds else "NOT an equilibrium"))
     return report, 0 if dom.truthful_dominant else 1
 
 
-def _cmd_trade(scenario, args):
+def _cmd_trade(scenario, args, precision):
     sit = scenario.situation
-    precision = _precision(scenario, args)
     target = (None if args.target is None
               else tuple(exact(part.strip(), "--target") for part in args.target.split(",")))
     price = exact(args.price.strip(), "--price") if args.price is not None else None

@@ -21,13 +21,17 @@ a larger award is valued, so under CEA no award is valued at all.  Neither
 rule assumes that the rule is claims monotonic.  Both checks refuse more
 than ``DEFAULT_CELL_LIMIT`` payoff cells before they ration anything, and
 replay any counterexample through ``mechanism_payoff`` before returning it.
+
+A ``MechanismConfig`` holds its economy and derives the true demands from
+it, so constructing one vets it once; the checks only confirm that they are
+handed the config's own economy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -47,11 +51,32 @@ class GridSizeError(ValueError):
 
 @dataclass(frozen=True)
 class MechanismConfig:
-    """One report grid and one true demand per firm; claimant i is firm i + 1."""
+    """One report grid per firm of ``situation``; claimant i is firm i + 1.
 
+    Construction vets the config once, also under ``python -O``: it refuses
+    an unknown rule, a grid count other than the firm count and a negative
+    level, whose award the skip rules cannot judge.  It sets ``true_demands``
+    to the firms' optimal demands and adds each to its firm's grid, which is
+    read once and kept sorted without repeats.
+    """
+
+    situation: Situation = field(repr=False)
     rule: str
     grids: tuple[tuple[Fraction, ...], ...]
-    true_demands: tuple[Fraction, ...]
+    true_demands: tuple[Fraction, ...] = field(init=False)
+
+    def __post_init__(self):
+        sit = self.situation
+        object.__setattr__(self, "rule", bankruptcy.check_rule(self.rule))
+        grids = [tuple(map(as_fraction, g)) for g in self.grids]
+        if len(grids) != sit.n_firms:
+            raise ValueError(f"{len(grids)} report grids for {sit.n_firms} firms")
+        if any(v < 0 for g in grids for v in g):
+            raise ValueError("report levels must be nonnegative")
+        demands = tuple(optimal_demand(sit, [i + 1]) for i in range(sit.n_firms))
+        object.__setattr__(self, "true_demands", demands)
+        object.__setattr__(self, "grids", tuple(
+            tuple(sorted({*g, d})) for g, d in zip(grids, demands)))
 
     @property
     def claimants(self) -> int:
@@ -63,33 +88,17 @@ class MechanismConfig:
 
 
 def make_config(sit: Situation, rule: str, grid=None) -> MechanismConfig:
-    """One report grid per firm, each holding its firm's true demand; a
-    coalition that reports as one claimant is the firm of the merged economy.
-
-    ``grid`` may be None (a small default including the truthful rationing
-    water level) or one iterable of levels, read once and shared by all firms.
-    ``_check_config`` vets the result (``ValueError``).
-    """
-    rule = bankruptcy.check_rule(rule)
-    demands = tuple(optimal_demand(sit, [i + 1]) for i in range(sit.n_firms))
-    if grid is None:
-        levels_by_claimant = [_default_levels(sit, demands, i) for i in range(len(demands))]
-    else:
-        levels_by_claimant = [tuple(grid)] * len(demands)
-    cfg = MechanismConfig(rule=rule, true_demands=demands, grids=tuple(
-        tuple(sorted({*map(as_fraction, levels), demand}))
-        for levels, demand in zip(levels_by_claimant, demands)))
-    _check_config(sit, cfg)
-    return cfg
-
-
-def _default_levels(sit: Situation, demands, i) -> list[Fraction]:
-    levels = [ZERO, demands[i] / 2, demands[i], sit.cap]
+    """The config of ``sit`` under ``rule`` with one grid for every firm:
+    ``grid``, one iterable of levels read once, or for None a small default
+    per firm including the truthful rationing water level."""
+    if grid is not None:
+        return MechanismConfig(sit, rule, (tuple(grid),) * sit.n_firms)
+    demands = [optimal_demand(sit, [i + 1]) for i in range(sit.n_firms)]
+    shared = [ZERO, sit.cap]
     if sum(demands, ZERO) > sit.cap:
         # truthful rationing water level, a natural kink of the CEA allocation
-        awards = allocate(bankruptcy.CEA, demands, sit.cap)
-        levels.append(max(awards))
-    return levels
+        shared.append(max(allocate(bankruptcy.CEA, demands, sit.cap)))
+    return MechanismConfig(sit, rule, tuple((*shared, d / 2) for d in demands))
 
 
 def _report_profile(cfg: MechanismConfig, reports: Sequence) -> tuple[Fraction, ...]:
@@ -101,37 +110,21 @@ def _report_profile(cfg: MechanismConfig, reports: Sequence) -> tuple[Fraction, 
     return profile
 
 
+def _same_economy(sit: Situation, cfg: MechanismConfig) -> None:
+    """Refuse (``ValueError``) a ``sit`` other than the config's economy."""
+    if sit is not cfg.situation and sit != cfg.situation:
+        raise ValueError("the config was built for another economy")
+
+
 def mechanism_payoff(sit: Situation, cfg: MechanismConfig,
                      reports: Sequence, claimant: int) -> Fraction:
     """Profit of firm ``claimant + 1`` under the reported needs; ``claimant``
     is 0-based and must be one of the config's (``ValueError``)."""
+    _same_economy(sit, cfg)
     if not 0 <= claimant < cfg.claimants:
         raise ValueError(f"claimant {claimant} is not one of 0..{cfg.claimants - 1}")
     awards = allocate(cfg.rule, _report_profile(cfg, reports), sit.cap)
     return coalition_value(sit, [claimant + 1], awards[claimant])
-
-
-def _check_config(sit: Situation, cfg: MechanismConfig) -> None:
-    """Refuse a config without one report grid per firm (a coalition that
-    reports as one claimant is the firm of the merged economy), whose true
-    demands are not the firms' optimal demands, whose grids hold a negative
-    report, or whose grid lacks its firm's true demand: the checks skip cells
-    on the strength of each firm's profit peaking at its demand, which says
-    nothing of negative awards, and dominance walks each claimant from its
-    truth.  Explicit checks that run before anything is rationed, also under
-    ``python -O``."""
-    if len(cfg.grids) != sit.n_firms:
-        raise ValueError(f"{len(cfg.grids)} report grids for {sit.n_firms} firms")
-    if any(v < 0 for g in cfg.grids for v in g):
-        raise ValueError("report levels must be nonnegative")
-    demands = tuple(optimal_demand(sit, [i + 1]) for i in range(sit.n_firms))
-    if cfg.true_demands != demands:
-        raise ValueError(
-            f"true demands ({', '.join(map(str, cfg.true_demands))}) are not the "
-            f"optimal demands ({', '.join(map(str, demands))}) of this economy's firms")
-    for i, (grid, demand) in enumerate(zip(cfg.grids, demands)):
-        if demand not in grid:
-            raise ValueError(f"the report grid of claimant {i} lacks its true demand {demand}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +136,7 @@ class Deviation:
     deviant_payoff: Fraction
 
 
-def _walk(sit: Situation, cfg: MechanismConfig, grids: Sequence[Sequence[Fraction]],
+def _walk(cfg: MechanismConfig, grids: Sequence[Sequence[Fraction]],
           refs: Sequence[int], choices: Sequence[Sequence[int]]
           ) -> tuple[int, Optional[Deviation]]:
     """Decide every (claimant i, reference profile, deviation) cell: claimant
@@ -167,6 +160,7 @@ def _walk(sit: Situation, cfg: MechanismConfig, grids: Sequence[Sequence[Fractio
     call, keyed on its reduced numerator and denominator; payoffs are kept
     as (numerator, denominator) and compared by cross-multiplication.
     """
+    sit = cfg.situation
     k = cfg.claimants
     sizes = [len(g) for g in grids]
     cells = k * math.prod(sizes)
@@ -233,7 +227,7 @@ def _walk(sit: Situation, cfg: MechanismConfig, grids: Sequence[Sequence[Fractio
                     reference = value(i, award, den)
                 deviant = value(i, deviant_nums[i], deviant_den)
                 if deviant[0] * reference[1] > reference[0] * deviant[1]:
-                    return checked + d + 1, _replayed(sit, cfg, Deviation(
+                    return checked + d + 1, _replayed(cfg, Deviation(
                         claimant=i,
                         opponent_reports=tuple(
                             g[x // s] for g, x, s in zip(grids, base, strides)),
@@ -244,15 +238,15 @@ def _walk(sit: Situation, cfg: MechanismConfig, grids: Sequence[Sequence[Fractio
     return checked, None
 
 
-def _replayed(sit: Situation, cfg: MechanismConfig, dev: Deviation) -> Deviation:
+def _replayed(cfg: MechanismConfig, dev: Deviation) -> Deviation:
     """Replay a deviation through ``mechanism_payoff``, on the reference
     profile and on the deviated one: both payoffs must be the reported ones
     and the deviation must gain, else ``RuntimeError``, an explicit check
     that also runs under ``python -O``."""
     profile = list(dev.opponent_reports)
-    truthful = mechanism_payoff(sit, cfg, profile, dev.claimant)
+    truthful = mechanism_payoff(cfg.situation, cfg, profile, dev.claimant)
     profile[dev.claimant] = dev.deviation
-    deviant = mechanism_payoff(sit, cfg, profile, dev.claimant)
+    deviant = mechanism_payoff(cfg.situation, cfg, profile, dev.claimant)
     if (truthful, deviant) != (dev.truthful_payoff, dev.deviant_payoff) or deviant <= truthful:
         raise RuntimeError(
             f"deviation of claimant {dev.claimant} to {dev.deviation} does not replay: "
@@ -274,12 +268,12 @@ def dominance_check(sit: Situation, cfg: MechanismConfig) -> DominanceReport:
     The kernel with each claimant at its truth against every opponent grid
     profile.  ``cells_checked`` counts every (claimant, opponent profile,
     deviation) cell, the truthful cell included, whether a payoff decided it
-    or rule (a) or (b) skipped it.  The true demands must be this economy's
-    and on their grids, and the report levels nonnegative (``ValueError``).
+    or rule (a) or (b) skipped it.  ``sit`` must be the config's economy
+    (``ValueError``).
     """
-    _check_config(sit, cfg)
+    _same_economy(sit, cfg)
     checked, counterexample = _walk(
-        sit, cfg, cfg.grids,
+        cfg, cfg.grids,
         [g.index(d) for g, d in zip(cfg.grids, cfg.true_demands)],
         [range(len(g)) for g in cfg.grids])
     return DominanceReport(truthful_dominant=counterexample is None,
@@ -299,10 +293,11 @@ def equilibrium_check(sit: Situation, cfg: MechanismConfig,
     The kernel with the others pinned to ``profile``.  A report off its grid
     is appended to it, so the deviations are the grid's levels other than
     the report, in order, and the grid limit counts that extended product.
+    ``sit`` must be the config's economy (``ValueError``).
     """
-    _check_config(sit, cfg)
+    _same_economy(sit, cfg)
     base = _report_profile(cfg, profile)
     grids = [g if r in g else (*g, r) for g, r in zip(cfg.grids, base)]
     refs = [g.index(r) for g, r in zip(grids, base)]
-    _, improving = _walk(sit, cfg, grids, refs, [(x,) for x in refs])
+    _, improving = _walk(cfg, grids, refs, [(x,) for x in refs])
     return EquilibriumReport(holds=improving is None, improving=improving)

@@ -3,12 +3,16 @@
 Numbers may be written as integers, decimal strings ("16.67") or fraction
 strings ("50/3"); all are converted to exact rationals.  Bare non-integer
 JSON numbers are parsed from their source text, so "14.1" in a file is the
-exact rational 141/10, never a binary float.
+exact rational 141/10, never a binary float.  Every number, in a file or a
+flag, is read by ``exact``, which refuses a numerator or denominator of more
+than ``MAX_DIGITS`` digits, and an exponent past that bound before it is
+expanded.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -42,12 +46,33 @@ class Scenario:
     options: ScenarioOptions
 
 
+MAX_DIGITS = 1001  # so that 1e1000, 5e1000 and 1e-1000 still load
+_BOUND = 10 ** MAX_DIGITS
+_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\s*\Z")
+
+
 def exact(value, where: str) -> Fraction:
-    """``value`` as an exact rational; a ``ScenarioError`` names ``where``."""
-    try:
-        return as_fraction(value)
-    except LpStructureError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
+    """``value`` as an exact rational whose numerator and denominator have at
+    most ``MAX_DIGITS`` digits; a ``ScenarioError`` names ``where``."""
+    x = None
+    if not (isinstance(value, str) and _past_bound(value)):
+        try:
+            x = as_fraction(value)
+        except LpStructureError as exc:
+            raise ScenarioError(f"{where}: {exc}") from None
+    if x is None or max(abs(x.numerator), x.denominator) >= _BOUND:
+        raise ScenarioError(
+            f"{where}: numerator or denominator has more than {MAX_DIGITS} digits")
+    return x
+
+
+def _past_bound(text: str) -> bool:
+    """Text refused unread: longer than the interpreter's integer digit limit,
+    or with an exponent above ``MAX_DIGITS`` plus its length, which takes
+    any nonzero mantissa past the bound."""
+    m = _EXPONENT.search(text)
+    return len(text) > sys.get_int_max_str_digits() or (
+        m is not None and int(m.group(1).replace("_", "")) > MAX_DIGITS + len(text))
 
 
 def _matrix(raw, where: str) -> list[list[Fraction]]:
@@ -151,7 +176,7 @@ def load_scenario(path) -> Scenario:
 
 def loads_scenario(text: str, name: str = "scenario") -> Scenario:
     try:
-        data = json.loads(text, parse_float=Fraction)
+        data = json.loads(text, parse_float=str)  # read later by exact
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except ValueError:  # a literal past the interpreter's integer digit limit

@@ -40,7 +40,8 @@ ONE = Fraction(1)
 
 
 class TargetError(ValueError):
-    """A trading target that does not fit the economy (length or efficiency)."""
+    """A trading target that does not fit the economy (length or efficiency),
+    or a permit price that is not positive."""
 
 
 @dataclass(frozen=True)
@@ -334,13 +335,18 @@ def trade_ledger(sit: Situation, permit_split: Sequence, target: Sequence,
     endowment, pays the tax on its initial allocation and settles the permit
     difference at one common price.  Final holdings and, when not supplied,
     the price itself are solved from the target; ledgers needing several
-    prices are out of scope and reported as infeasible.
+    prices are out of scope and reported as infeasible.  A supplied price
+    must be positive (``TargetError``).
     """
     firms = sit.firms()
     h = tuple(as_fraction(v) for v in permit_split)
     t = tuple(as_fraction(v) for v in target)
     if len(h) != len(firms) or len(t) != len(firms):
         raise TargetError("split and target must have one entry per firm")
+    if price is not None:
+        price = as_fraction(price)
+        if price <= 0:
+            raise TargetError(f"uniform permit price must be positive, got {price}")
     if sum(h, ZERO) != sit.cap or any(v < 0 for v in h):
         raise ValueError(f"permit split must be nonnegative and sum to the cap {sit.cap}")
     grand = coalition_value(
@@ -373,10 +379,6 @@ def trade_ledger(sit: Situation, permit_split: Sequence, target: Sequence,
             feasible=False,
             reason="no uniform permit price implied by the target verifies; "
                    "supply one explicitly if you believe it exists")
-    price = as_fraction(price)
-    if price <= 0:
-        return TradeLedger(
-            feasible=False, reason=f"uniform permit price must be positive, got {price}")
     return _ledger_at_price(sit, h, t, price, manager)
 
 

@@ -20,6 +20,7 @@ from permit_games.mechanism import (
     DominanceReport,
     EquilibriumReport,
     GridSizeError,
+    MechanismConfig,
     allocate,
     dominance_check,
     equilibrium_check,
@@ -442,20 +443,12 @@ def _greedy_cea(cap, claims):
 
 def test_mechanism_checks_refuse_what_the_skip_rules_cannot_rely_on(monkeypatch, example3):
     cfg = make_config(example3, "cea", grid=REFERENCE_GRID)
-    # true demands that are not this economy's
-    wrong = dataclasses.replace(cfg, true_demands=(F(20), F(20), F(30)))
-    other = dataclasses.replace(example3, tax=F(30))  # demand of firm 1 is 40/3
-    for sit, config in ((example3, wrong), (other, cfg)):
-        with pytest.raises(ValueError, match="optimal demands"):
-            dominance_check(sit, config)
-        with pytest.raises(ValueError, match="optimal demands"):
-            equilibrium_check(sit, config, config.truthful_profile)
+    # true demands are derived from the economy, never given
+    with pytest.raises(ValueError, match="true_demands is declared with init=False"):
+        dataclasses.replace(cfg, true_demands=(F(20), F(20), F(30)))
     # a negative report level, whose award the skip rules cannot judge
-    negative = dataclasses.replace(cfg, grids=((F(-5),) + cfg.grids[0],) + cfg.grids[1:])
     with pytest.raises(ValueError, match="nonnegative"):
-        dominance_check(example3, negative)
-    with pytest.raises(ValueError, match="nonnegative"):
-        equilibrium_check(example3, negative, negative.truthful_profile)
+        dataclasses.replace(cfg, grids=((F(-5),) + cfg.grids[0],) + cfg.grids[1:])
     # a rationed truthful award above its claim
     monkeypatch.setitem(bankruptcy._RULE_FUNCTIONS, "cea", _greedy_cea)
     with pytest.raises(RuntimeError, match="more than its claim"):
@@ -469,22 +462,46 @@ def test_mechanism_checks_refuse_a_grid_count_other_than_the_firm_count(monkeypa
     allocations, valuations = _count_work(monkeypatch)
     monkeypatch.setattr(mechanism, "allocate", lambda *args: allocations.append(args))
     for grids in (cfg.grids + cfg.grids[:1], cfg.grids[:-1]):
-        wrong = dataclasses.replace(cfg, grids=grids)
         with pytest.raises(ValueError, match=f"{len(grids)} report grids for 3 firms"):
-            dominance_check(example3, wrong)
-        with pytest.raises(ValueError, match=f"{len(grids)} report grids for 3 firms"):
-            equilibrium_check(example3, wrong, wrong.truthful_profile)
+            dataclasses.replace(cfg, grids=grids)
     assert allocations == [] and not valuations
 
 
 def test_mechanism_checks_refuse_a_grid_without_the_true_demand(example3):
+    # construction adds each firm's true demand to its grid
     cfg = make_config(example3, "cea", grid=REFERENCE_GRID)
     untruthful = dataclasses.replace(
         cfg, grids=cfg.grids[:2] + (tuple(v for v in cfg.grids[2] if v != 25),))
-    with pytest.raises(ValueError, match="claimant 2 lacks its true demand 25"):
-        dominance_check(example3, untruthful)
-    with pytest.raises(ValueError, match="claimant 2 lacks its true demand 25"):
-        equilibrium_check(example3, untruthful, untruthful.truthful_profile)
+    assert untruthful == cfg
+    grids = MechanismConfig(example3, "cea", ((1,), (2,), (30,))).grids
+    assert grids == ((1, 20), (2, 20), (25, 30))
+
+
+def test_the_checks_refuse_another_economy(example3):
+    cfg = make_config(example3, "cea", grid=REFERENCE_GRID)
+    other = dataclasses.replace(example3, tax=F(30))  # demand of firm 1 is 40/3
+    for check in (lambda: dominance_check(other, cfg),
+                  lambda: equilibrium_check(other, cfg, cfg.truthful_profile),
+                  lambda: mechanism_payoff(other, cfg, cfg.truthful_profile, 0)):
+        with pytest.raises(ValueError, match="the config was built for another economy"):
+            check()
+    twin = dataclasses.replace(example3)  # an equal economy is the config's own
+    assert twin is not example3 and dominance_check(twin, cfg).truthful_dominant
+
+
+def test_a_config_and_both_checks_derive_each_demand_once(monkeypatch, example3):
+    calls = []
+    real = mechanism.optimal_demand
+
+    def counting(sit, members):
+        calls.append(tuple(members))
+        return real(sit, members)
+
+    monkeypatch.setattr(mechanism, "optimal_demand", counting)
+    cfg = make_config(example3, "prop", grid=REFERENCE_GRID)
+    assert not dominance_check(example3, cfg).truthful_dominant  # replays its counterexample
+    assert not equilibrium_check(example3, cfg, cfg.truthful_profile).holds
+    assert calls == [(1,), (2,), (3,)]
 
 
 def test_non_exhausting_rule_faults_the_mechanism_checks_under_python_O():
@@ -492,7 +509,8 @@ def test_non_exhausting_rule_faults_the_mechanism_checks_under_python_O():
 import dataclasses
 import sys
 from permit_games import bankruptcy
-from permit_games.mechanism import dominance_check, equilibrium_check, make_config
+from permit_games.mechanism import (
+    dominance_check, equilibrium_check, make_config, mechanism_payoff)
 from permit_games.production import Situation
 import test_mechanism
 bankruptcy._RULE_FUNCTIONS["cea"] = test_mechanism._halving_cea
@@ -500,17 +518,15 @@ sit = Situation.create(production=[[2, 3], [3, 2], [1, 1]],
                        endowments=[[40, 60, 80], [60, 40, 50]],
                        prices=[50, 60], tax=14, cap=50)
 cfg = make_config(sit, "cea", grid=test_mechanism.REFERENCE_GRID)
-wrong = dataclasses.replace(cfg, true_demands=(20, 20, 30))
-extra = dataclasses.replace(cfg, grids=cfg.grids + cfg.grids[:1])
-short = dataclasses.replace(cfg, grids=cfg.grids[:-1])
-for check in (lambda: dominance_check(sit, cfg),
-              lambda: equilibrium_check(sit, cfg, (30, 20, 25)),
-              lambda: dominance_check(sit, wrong),
-              lambda: equilibrium_check(sit, wrong, (30, 20, 25)),
-              lambda: dominance_check(sit, extra),
-              lambda: equilibrium_check(sit, extra, (30, 20, 25)),
-              lambda: dominance_check(sit, short),
-              lambda: equilibrium_check(sit, short, (30, 20, 25))):
+other = dataclasses.replace(sit, tax=30)
+for check in (lambda: dataclasses.replace(cfg, grids=cfg.grids + cfg.grids[:1]),
+              lambda: dataclasses.replace(cfg, grids=cfg.grids[:-1]),
+              lambda: dataclasses.replace(cfg, grids=((-5,),) + cfg.grids[1:]),
+              lambda: dominance_check(other, cfg),
+              lambda: equilibrium_check(other, cfg, (30, 20, 25)),
+              lambda: mechanism_payoff(other, cfg, (30, 20, 25), 0),
+              lambda: dominance_check(sit, cfg),
+              lambda: equilibrium_check(sit, cfg, (30, 20, 25))):
     try:
         check()
     except (RuntimeError, ValueError) as exc:
@@ -530,11 +546,12 @@ print("optimize", sys.flags.optimize)
     lines = done.stdout.splitlines()
     assert lines[-1] == "optimize 1"
     assert len(lines) == 10
+    # refused at construction or on the economy, before the halving rule rations anything
+    assert lines[:6] == [
+        "raised ValueError 4 report grids for 3 firms",
+        "raised ValueError 2 report grids for 3 firms",
+        "raised ValueError report levels must be nonnegative",
+        *["raised ValueError the config was built for another economy"] * 3]
     assert all(line.startswith("raised RuntimeError") and "exhaust" in line
-               for line in lines[:2])
-    assert all(line.startswith("raised ValueError") and "optimal demands" in line
-               for line in lines[2:4])
-    # refused before the halving rule rations anything
-    assert lines[4:8] == [f"raised ValueError {n} report grids for 3 firms"
-                          for n in (4, 4, 2, 2)]
+               for line in lines[6:8])
     assert lines[8].startswith("raised RuntimeError") and "more than its claim" in lines[8]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ from permit_games import bankruptcy, cli
 from permit_games.reference import bundled_scenario
 from permit_games.report import decimal_str
 from permit_games.scenario import (
+    MAX_DIGITS,
     ScenarioError,
     dump_scenario,
     load_scenario,
@@ -275,16 +277,46 @@ def test_oversized_precision_is_refused_before_any_analysis(
         assert (code, out, err) == (2, "", message)
 
 
-@pytest.mark.parametrize("literal", ["5" * 5000, "5" * 5000 + ".5"],
-                         ids=["integer", "decimal"])
-def test_a_number_literal_past_the_digit_limit_is_an_input_error(tmp_path, capsys, literal):
+TOO_LONG = f"numerator or denominator has more than {MAX_DIGITS} digits"
+
+
+@pytest.mark.parametrize("field, literal, message", [
+    ("cap", "5" * 5000, f"a number literal has more than {sys.get_int_max_str_digits()} digits"),
+    # bare non-integer literals and strings are read by ``exact``, which names the field
+    ("cap", "5" * 5000 + ".5", f"cap: {TOO_LONG}"),
+    ("cap", '"1e5000"', f"cap: {TOO_LONG}"),
+    ("cap", '"1e-4400"', f"cap: {TOO_LONG}"),
+    ("tax", '"1e-4299"', f"tax: {TOO_LONG}"),
+    ("cap", "1e3000000", f"cap: {TOO_LONG}"),
+    ("prices", f"[50, 1{'0' * MAX_DIGITS}]", f"prices[1]: {TOO_LONG}"),
+], ids=["integer", "decimal", "exponent", "negative-exponent", "tax", "bare-exponent",
+        "integer-bound"])
+def test_a_number_literal_past_the_digit_limit_is_an_input_error(
+        tmp_path, capsys, field, literal, message):
     path = tmp_path / "long.json"
-    path.write_text(json.dumps(MINIMAL).replace('"cap": 50', f'"cap": {literal}'))
-    with pytest.raises(ScenarioError, match=f"more than {sys.get_int_max_str_digits()} digits"):
+    path.write_text(
+        json.dumps({**MINIMAL, field: 0}).replace(f'"{field}": 0', f'"{field}": {literal}'))
+    started = time.perf_counter()
+    with pytest.raises(ScenarioError, match=re.escape(message)):
         load_scenario(path)
+    assert time.perf_counter() - started < 1
     code, out, err = run_cli(capsys, "pipeline", "--scenario", str(path))
-    assert code == 2 and out == ""
-    assert err.startswith("error: a number literal has more than ") and err.count("\n") == 1
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("change", [
+    {"cap": "1e1000"}, {"cap": "1e-1000"}, {"tax": "1e-1000"},
+    {"prices": ["5e1000", "5e1000"]},
+    {"endowments": [[40, 60, "4e1000"], [60, 40, 50]]},
+    {"production": [[2, 3], [3, 2], ["2e-1000", 1]]},
+], ids=["cap", "small-cap", "tax", "prices", "endowment", "production"])
+def test_thousand_digit_numbers_still_analyse(tmp_path, capsys, change):
+    path = write_scenario(tmp_path, {**MINIMAL, **change})
+    for command in ("demands", "game", "cores", "pipeline", "mechanism", "trade"):
+        code, _, err = run_cli(capsys, command, "--scenario", str(path))
+        # an abundant cap leaves nothing to trade, which is an input error
+        assert code in (0, 1) or (command, code) == ("trade", 2) and "rationed cap" in err, \
+            (command, err)
 
 
 def test_dump_scenario_flag(scenario_path, tmp_path, capsys):
@@ -338,6 +370,11 @@ def test_dump_scenario_to_an_unwritable_path_exits_two(scenario_path, tmp_path, 
     (["trade", "--price="], "--price: not an exact number"),
     (["trade", "--target="], "--target: not an exact number"),
     (["demands", "--dump-scenario="], "empty path"),
+    (["mechanism", "--grid=0,1e5000"], f"grid: {TOO_LONG}"),
+    (["trade", "--target=1e5000,0,0"], f"--target: {TOO_LONG}"),
+    (["trade", "--price=1e-4299"], f"--price: {TOO_LONG}"),
+    (["trade", "--price=0"], "uniform permit price must be positive, got 0"),
+    (["trade", "--price=-5"], "uniform permit price must be positive, got -5"),
 ])
 def test_bad_targets_and_grids_exit_two(scenario_path, capsys, argv, message):
     code, out, err = run_cli(capsys, *argv, "--scenario", str(scenario_path))

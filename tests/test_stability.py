@@ -25,6 +25,7 @@ from permit_games.partition_games import (
 from permit_games.stability import (
     CoreCertificate,
     CoreVerdict,
+    TargetError,
     core_nonempty,
     in_core,
     owen_allocation,
@@ -495,6 +496,11 @@ def test_trade_ledger_preconditions(example3):
         trade_ledger(example3, [10, 10, 10], [700, 800, 800])
     with pytest.raises(ValueError, match="not efficient"):
         trade_ledger(example3, [F(50, 3)] * 3, [700, 800, 700])
+    # a price that is not positive is refused, also where no trade is needed
+    for split, target in (([F(50, 3)] * 3, [700, 800, 800]), ([10, 20, 20], [460, 920, 920])):
+        for price in (0, -5):
+            with pytest.raises(TargetError, match=f"must be positive, got {price}"):
+                trade_ledger(example3, split, target, price=price)
 
 
 def test_theorem_style_sweep_minus_and_plus():
