@@ -6,6 +6,8 @@ mechanism, infeasible ledger, failed reproduction), 2 input or usage error
 certificate or invariant check, or any other ValueError, which is a bug and
 never a verdict on the input; one ``internal error:`` line on stderr).
 Output is deterministic for identical input: no timestamps, stable ordering.
+One table, ``SUBCOMMANDS``, drives parsing, help and dispatch; a call that
+names a subcommand builds only that subcommand's parser.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from typing import Callable, NamedTuple
 
 from . import bankruptcy
 from .games import lex_coalitions
@@ -43,8 +46,8 @@ CORE_CHOICES = (*CORE_GAMES, "all")
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None).parse_args(argv)
     try:
         return _dispatch(args)
     except INPUT_ERRORS as exc:
@@ -55,55 +58,26 @@ def main(argv=None) -> int:
         return 3
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``only`` alone; the usage line
+    lists every subcommand either way, as argparse's own metavar does."""
     parser = argparse.ArgumentParser(
         prog="permit-games",
         description="Cooperative analysis of capped, taxed emission permit markets.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", help="path to a scenario JSON file")
-    common.add_argument("--rule", choices=bankruptcy.RULES,
-                        help="division rule (overrides the scenario)")
-    common.add_argument("--precision", type=int,
-                        help="decimal digits in reports (default from scenario, else 2)")
-    common.add_argument("--format", choices=FORMATS, dest="fmt",
-                        help="report format (default from scenario, else table)")
-    common.add_argument("--dump-scenario", metavar="PATH",
-                        help="write the normalized scenario back out before running")
-    limited = argparse.ArgumentParser(add_help=False)
-    limited.add_argument("--partition-limit", type=int,
-                         help="largest firm count enumerated exhaustively")
-
-    sub.add_parser("demands", parents=[common, limited],
-                   help="optimal permit demand of every coalition")
-    sub.add_parser("game", parents=[common, limited],
-                   help="permit shares and profits for every coalition structure")
-    cores = sub.add_parser("cores", parents=[common, limited],
-                           help="core verdicts for the derived games")
-    cores.add_argument("--game", choices=CORE_CHOICES, default="all",
-                       help="which derived game to test (default all)")
-    sub.add_parser("resource-games", parents=[common, limited],
-                   help="best/worst-case permit allocation games")
-    sub.add_parser("pipeline", parents=[common, limited],
-                   help="stable permit split and priced profit allocation")
-    mechanism = sub.add_parser("mechanism", parents=[common],
-                               help="truthfulness of the rule as a direct mechanism")
-    mechanism.add_argument("--grid",
-                           help="report grid: 'auto' or comma-separated exact levels")
-    trade = sub.add_parser("trade", parents=[common, limited],
-                           help="uniform-price trading ledger toward a target")
-    trade.add_argument("--target",
-                       help="comma-separated exact profits (default: priced allocation)")
-    trade.add_argument("--price", help="uniform permit price (exact literal)")
-    sub.add_parser("reproduce-paper",
-                   help="re-run the bundled reference economy against its expected tables")
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        None if only is None else "{" + ",".join(SUBCOMMANDS) + "}"))
+    for name in SUBCOMMANDS if only is None else (only,):
+        command = SUBCOMMANDS[name]
+        cmd = sub.add_parser(name, help=command.help)
+        for flag, settings in (*command.shared, *command.options):
+            cmd.add_argument(flag, **settings)
     return parser
 
 
 def _dispatch(args) -> int:
-    if args.command == "reproduce-paper":
-        return _cmd_reproduce(args)
+    command = SUBCOMMANDS[args.command]
+    if not command.shared:
+        return command.handler(args)
     if not args.scenario:
         print("error: --scenario is required for this command", file=sys.stderr)
         return 2
@@ -112,18 +86,9 @@ def _dispatch(args) -> int:
         scenario = dataclasses.replace(scenario, rule=args.rule)
     if args.dump_scenario is not None:
         dump_scenario(scenario, args.dump_scenario)
-    handler = {
-        "demands": _cmd_demands,
-        "game": _cmd_game,
-        "cores": _cmd_cores,
-        "resource-games": _cmd_resource_games,
-        "pipeline": _cmd_pipeline,
-        "mechanism": _cmd_mechanism,
-        "trade": _cmd_trade,
-    }[args.command]
     precision = _precision(scenario, args)  # refused before any analysis runs
-    report, code = handler(scenario, args, precision)
-    print(report.render(_format(scenario, args), precision), end="")
+    report, code = command.handler(scenario, args, precision)
+    print(report.render(args.fmt or scenario.options.report_format, precision), end="")
     return code
 
 
@@ -135,10 +100,6 @@ def _precision(scenario, args) -> int:
             raise ScenarioError(f"--precision must be at most {MAX_PRECISION}")
         return args.precision
     return scenario.options.precision
-
-
-def _format(scenario, args) -> str:
-    return args.fmt or scenario.options.report_format
 
 
 def _limit(scenario, args) -> int:
@@ -362,16 +323,55 @@ def _cmd_trade(scenario, args, precision):
 def _cmd_reproduce(args) -> int:
     checks = run_reference_checks()
     width = max(len(c.name) for c in checks)
-    failed = 0
     for c in checks:
         status = "ok" if c.ok else "MISMATCH"
         detail = f"  {c.detail}" if (c.detail and not c.ok) else ""
         print(f"{c.name.ljust(width)}  {status}{detail}")
-        if not c.ok:
-            failed += 1
-    total = len(checks)
-    print(f"{total - failed}/{total} reference checks passed")
+    failed = sum(not c.ok for c in checks)
+    print(f"{len(checks) - failed}/{len(checks)} reference checks passed")
     return 0 if failed == 0 else 1
+
+
+# (flag, add_argument settings) of the options that analysis commands share
+SCENARIO_OPTIONS = (
+    ("--scenario", dict(help="path to a scenario JSON file")),
+    ("--rule", dict(choices=bankruptcy.RULES, help="division rule (overrides the scenario)")),
+    ("--precision", dict(
+        type=int, help="decimal digits in reports (default from scenario, else 2)")),
+    ("--format", dict(choices=FORMATS, dest="fmt",
+                      help="report format (default from scenario, else table)")),
+    ("--dump-scenario", dict(
+        metavar="PATH", help="write the normalized scenario back out before running")),
+)
+LIMITED_OPTIONS = (*SCENARIO_OPTIONS, ("--partition-limit", dict(
+    type=int, help="largest firm count enumerated exhaustively")))
+
+
+class Subcommand(NamedTuple):
+    help: str
+    handler: Callable  # (scenario, args, precision) -> (report, code); unshared: (args) -> code
+    options: tuple = ()  # its own options, after the shared ones
+    shared: tuple = LIMITED_OPTIONS  # () for a command that runs on no scenario
+
+
+# subcommand -> everything that parses, documents and dispatches it
+SUBCOMMANDS = {
+    "demands": Subcommand("optimal permit demand of every coalition", _cmd_demands),
+    "game": Subcommand("permit shares and profits for every coalition structure", _cmd_game),
+    "cores": Subcommand("core verdicts for the derived games", _cmd_cores, (
+        ("--game", dict(choices=CORE_CHOICES, default="all",
+                        help="which derived game to test (default all)")),)),
+    "resource-games": Subcommand("best/worst-case permit allocation games", _cmd_resource_games),
+    "pipeline": Subcommand("stable permit split and priced profit allocation", _cmd_pipeline),
+    "mechanism": Subcommand("truthfulness of the rule as a direct mechanism", _cmd_mechanism, (
+        ("--grid", dict(help="report grid: 'auto' or comma-separated exact levels")),),
+        shared=SCENARIO_OPTIONS),
+    "trade": Subcommand("uniform-price trading ledger toward a target", _cmd_trade, (
+        ("--target", dict(help="comma-separated exact profits (default: priced allocation)")),
+        ("--price", dict(help="uniform permit price (exact literal)")))),
+    "reproduce-paper": Subcommand("re-run the bundled reference economy against its "
+                                  "expected tables", _cmd_reproduce, shared=()),
+}
 
 
 if __name__ == "__main__":

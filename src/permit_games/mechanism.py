@@ -57,23 +57,25 @@ class MechanismConfig:
     an unknown rule, a grid count other than the firm count and a negative
     level, whose award the skip rules cannot judge.  It sets ``true_demands``
     to the firms' optimal demands and adds each to its firm's grid, which is
-    read once and kept sorted without repeats.
+    read once and kept sorted without repeats.  ``grids`` None stands for a
+    small default per firm including the truthful rationing water level.
     """
 
     situation: Situation = field(repr=False)
     rule: str
-    grids: tuple[tuple[Fraction, ...], ...]
+    grids: Optional[tuple[tuple[Fraction, ...], ...]]
     true_demands: tuple[Fraction, ...] = field(init=False)
 
     def __post_init__(self):
         sit = self.situation
         object.__setattr__(self, "rule", bankruptcy.check_rule(self.rule))
-        grids = [tuple(map(as_fraction, g)) for g in self.grids]
+        demands = tuple(optimal_demand(sit, [i + 1]) for i in range(sit.n_firms))
+        grids = (_default_grids(sit, demands) if self.grids is None
+                 else [tuple(map(as_fraction, g)) for g in self.grids])
         if len(grids) != sit.n_firms:
             raise ValueError(f"{len(grids)} report grids for {sit.n_firms} firms")
         if any(v < 0 for g in grids for v in g):
             raise ValueError("report levels must be nonnegative")
-        demands = tuple(optimal_demand(sit, [i + 1]) for i in range(sit.n_firms))
         object.__setattr__(self, "true_demands", demands)
         object.__setattr__(self, "grids", tuple(
             tuple(sorted({*g, d})) for g, d in zip(grids, demands)))
@@ -87,18 +89,18 @@ class MechanismConfig:
         return self.true_demands
 
 
-def make_config(sit: Situation, rule: str, grid=None) -> MechanismConfig:
-    """The config of ``sit`` under ``rule`` with one grid for every firm:
-    ``grid``, one iterable of levels read once, or for None a small default
-    per firm including the truthful rationing water level."""
-    if grid is not None:
-        return MechanismConfig(sit, rule, (tuple(grid),) * sit.n_firms)
-    demands = [optimal_demand(sit, [i + 1]) for i in range(sit.n_firms)]
+def _default_grids(sit: Situation, demands) -> list[tuple[Fraction, ...]]:
     shared = [ZERO, sit.cap]
     if sum(demands, ZERO) > sit.cap:
         # truthful rationing water level, a natural kink of the CEA allocation
         shared.append(max(allocate(bankruptcy.CEA, demands, sit.cap)))
-    return MechanismConfig(sit, rule, tuple((*shared, d / 2) for d in demands))
+    return [(*shared, d / 2) for d in demands]
+
+
+def make_config(sit: Situation, rule: str, grid=None) -> MechanismConfig:
+    """The config of ``sit`` under ``rule`` with one grid for every firm:
+    ``grid``, one iterable of levels read once, or for None the default."""
+    return MechanismConfig(sit, rule, None if grid is None else (tuple(grid),) * sit.n_firms)
 
 
 def _report_profile(cfg: MechanismConfig, reports: Sequence) -> tuple[Fraction, ...]:

@@ -65,6 +65,10 @@ def _run(argv, capsys):
     return code, capsys.readouterr().out
 
 
+def test_every_analysis_command_is_recorded():
+    assert COMMANDS == tuple(name for name in cli.SUBCOMMANDS if name != "reproduce-paper")
+
+
 def test_cli_reports_match_recording(tmp_path, capsys):
     golden = json.loads(GOLDEN.read_text())
     cases = dict(_cases(tmp_path, golden["scenarios"]))

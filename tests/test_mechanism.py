@@ -190,6 +190,19 @@ def test_default_grid_contains_truth_and_water_level(example3):
         assert F(50, 3) in grid  # truthful rationing water level
 
 
+@pytest.mark.parametrize("grid", [None, REFERENCE_GRID])
+def test_config_derives_each_true_demand_once(monkeypatch, example3, grid):
+    calls = []
+
+    def counted(sit, coalition):
+        calls.append(tuple(coalition))
+        return optimal_demand(sit, coalition)
+
+    monkeypatch.setattr(mechanism, "optimal_demand", counted)
+    make_config(example3, "cea", grid=grid)
+    assert calls == [(1,), (2,), (3,)]
+
+
 def test_cea_dominant_with_four_claimants():
     rng = random.Random(44)
     done = 0
