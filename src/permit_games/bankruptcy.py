@@ -12,9 +12,10 @@ the pipeline's individual demands or a mechanism report profile: it scales
 its Fraction inputs by ``lcm`` of the denominators and turns the integer
 awards back into Fractions.  Callers that ration many claim vectors on one
 scale call ``ration`` directly: ``build_game`` scales the demands and the
-cap once per game, and the truthfulness check its report grids once per
-call.  ``apply_rule`` is an alias of ``allocate`` kept only because the
-benchmark tracer wraps it by name.
+cap once per game, and the truthfulness check scales its report grids once
+per call and rations each claim multiset once, sorted, since every rule is
+anonymous.  ``apply_rule`` is an alias of ``allocate`` kept only because
+the benchmark tracer wraps it by name.
 """
 
 from __future__ import annotations

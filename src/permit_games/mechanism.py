@@ -17,10 +17,13 @@ true demand d is the least maximiser, so the profit is single-peaked at d.
 Two rules follow from the integer awards alone.  (a) A claimant awarded d
 has the best profit there is and cannot gain.  (b) A claimant rationed to
 a < d cannot gain from a deviation awarded at most a.  Only a deviation with
-a larger award is valued, so under CEA no award is valued at all.  Neither
-rule assumes that the rule is claims monotonic.  Both checks refuse more
-than ``DEFAULT_CELL_LIMIT`` payoff cells before they ration anything, and
-replay any counterexample through ``mechanism_payoff`` before returning it.
+a larger award is valued, so under CEA no award is valued at all.  (c) The
+rules are anonymous (Thomson, Math. Social Sciences 45, 2003): an award
+depends only on its own claim and the multiset of all claims, so each
+multiset is rationed once and a claimant's row that repeats an earlier
+multiset is already decided.  None of (a)-(c) assumes claims monotonicity.
+Both checks refuse more than ``DEFAULT_CELL_LIMIT`` payoff cells before
+they ration anything, and replay any counterexample before returning it.
 
 A ``MechanismConfig`` holds its economy and derives the true demands from
 it, so constructing one vets it once; the checks only confirm that they are
@@ -150,15 +153,17 @@ def _walk(cfg: MechanismConfig, grids: Sequence[Sequence[Fraction]],
 
     Rules (a) and (b) decide a row by its reference award; a reference award
     above d, which a report above d can get, leaves every deviation of its
-    row to be valued.  A reference award above its own report is a fault of
-    the rule (``RuntimeError``), and more than ``DEFAULT_CELL_LIMIT`` cells,
-    k times the grid product, raise ``GridSizeError`` first.
+    row to be valued.  By (c), a row of claimant i whose multiset of
+    reference claims repeats an earlier one of i, which had no
+    counterexample, is counted and skipped.  More than ``DEFAULT_CELL_LIMIT``
+    cells, k times the grid product, raise ``GridSizeError`` first.
 
     The grids and the cap are scaled once to integers over ``lcm`` of their
-    denominators.  Each report profile, at its position in the grid product,
-    is rationed at most once, on first touch, by ``ration`` in those units,
-    and every claimant reads its award from that one (numerators,
-    denominator) result.  Each claimant's award is valued at most once per
+    denominators.  Each claim multiset is rationed once, sorted, by ``ration``
+    in those units into a table from claim to award numerator, which is also
+    kept at each profile's position in the grid product.  An award above its
+    claim, or unequal awards to equal claims, is a fault of the rule
+    (``RuntimeError``).  Each claimant's award is valued at most once per
     call, keyed on its reduced numerator and denominator; payoffs are kept
     as (numerator, denominator) and compared by cross-multiplication.
     """
@@ -174,8 +179,27 @@ def _walk(cfg: MechanismConfig, grids: Sequence[Sequence[Fraction]],
     units = [tuple(v.numerator * (scale // v.denominator) for v in g) for g in grids]
     # A profile's grid indices x_j sit at position sum_j x_j * strides[j].
     strides = [math.prod(sizes[j + 1:]) for j in range(k)]
-    awards_at: list[Optional[tuple[Sequence[int], int]]] = [None] * math.prod(sizes)
+    # (sorted claims, claim -> award numerator, denominator) per multiset
+    by_multiset: dict[tuple[int, ...], tuple] = {}
+    awards_at: list[Optional[tuple]] = [None] * math.prod(sizes)
     values: list[dict[tuple[int, int], tuple[int, int]]] = [{} for _ in range(k)]
+
+    def rationed(claims: Sequence[int]) -> tuple:
+        key = tuple(sorted(claims))
+        found = by_multiset.get(key)
+        if found is None:
+            nums, den = ration(cfg.rule, key, cap)
+            table = dict(zip(key, nums))
+            for claim, award in zip(key, nums):
+                if award > claim * den:
+                    raise RuntimeError(
+                        f"{cfg.rule} awards {Fraction(award, den * scale)}, "
+                        f"more than its claim {Fraction(claim, scale)}")
+                if table[claim] != award:
+                    raise RuntimeError(
+                        f"{cfg.rule} awards equal claims {Fraction(claim, scale)} unequally")
+            found = by_multiset[key] = (key, table, den)
+        return found
 
     def value(i: int, award: int, den: int) -> tuple[int, int]:
         common = math.gcd(award, den)
@@ -198,36 +222,36 @@ def _walk(cfg: MechanismConfig, grids: Sequence[Sequence[Fraction]],
         reports = [[u[x] for x in xs] for u, xs in zip(units, choices)]
         reports[i] = (report,)
         shifts = [(d - ref) * strides[i] for d in range(sizes[i])]
+        decided: set[tuple[int, ...]] = set()
         for base, claims in zip(itertools.product(*ranges), itertools.product(*reports)):
             at = sum(base)
-            rationed = awards_at[at]
-            if rationed is None:
-                rationed = awards_at[at] = ration(cfg.rule, claims, cap)
-            nums, den = rationed
-            award = nums[i]
-            if award > report * den:
-                raise RuntimeError(
-                    f"{cfg.rule} awards claimant {i} {Fraction(award, den * scale)}, "
-                    f"more than its claim {grids[i][ref]}")
-            if award == demand * den:  # (a) served its demand in full
+            found = awards_at[at]
+            if found is None:
+                found = awards_at[at] = rationed(claims)
+            multiset, table, den = found
+            award = table[report]
+            # (a) served its demand in full, or (c) decided on an earlier row
+            if award == demand * den or multiset in decided:
                 checked += sizes[i]
                 continue
+            decided.add(multiset)
             below = award < demand * den
             reference = None
             for d, shift in enumerate(shifts):
                 if d == ref:
                     continue
-                rationed = awards_at[at + shift]
-                if rationed is None:
+                found = awards_at[at + shift]
+                if found is None:
                     profile = list(claims)
                     profile[i] = own[d]
-                    rationed = awards_at[at + shift] = ration(cfg.rule, profile, cap)
-                deviant_nums, deviant_den = rationed
-                if below and deviant_nums[i] * den <= award * deviant_den:
+                    found = awards_at[at + shift] = rationed(profile)
+                _, deviant_table, deviant_den = found
+                deviant_award = deviant_table[own[d]]
+                if below and deviant_award * den <= award * deviant_den:
                     continue  # (b) no more than the reference award
                 if reference is None:
                     reference = value(i, award, den)
-                deviant = value(i, deviant_nums[i], deviant_den)
+                deviant = value(i, deviant_award, deviant_den)
                 if deviant[0] * reference[1] > reference[0] * deviant[1]:
                     return checked + d + 1, _replayed(cfg, Deviation(
                         claimant=i,

@@ -289,3 +289,28 @@ def test_integer_kernel_properties(rule):
             continue
         assert den > 0 and sum(nums) == cap * den
         assert all(0 <= a <= d * den for a, d in zip(nums, claims))
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_rules_are_anonymous(rule):
+    # Permuting the claims permutes the award numerators over the same
+    # denominator, which the truthfulness walk relies on when it rations
+    # each claim multiset once, sorted.
+    rng = random.Random(4300 + RULES.index(rule))
+    seen = set()
+    for _ in range(200):
+        levels = [0] + [rng.randint(1, 30) for _ in range(3)]
+        claims = [rng.choice(levels) for _ in range(rng.randint(1, 6))]
+        cap = rng.randint(0, sum(claims) + 5)
+        nums, den = ration(rule, claims, cap)
+        for _ in range(6):
+            order = rng.sample(range(len(claims)), len(claims))
+            permuted = ration(rule, [claims[j] for j in order], cap)
+            assert (list(permuted[0]), permuted[1]) == ([nums[j] for j in order], den)
+        if sum(claims) <= cap:
+            seen.add("served")
+        else:
+            seen.add("rationed")
+            seen.update({"tie"} if len(set(claims)) < len(claims) else ())
+            seen.update({"zero claim"} if 0 in claims else ())
+    assert seen == {"served", "rationed", "tie", "zero claim"}

@@ -340,6 +340,45 @@ def test_equilibrium_check_matches_the_per_cell_oracle(rule):
     assert improving >= 12  # the early exit is exercised
 
 
+def _repeated_rows(sit, cfg, report):
+    """Rows of the dominance walk before its counterexample (all rows if it
+    has none) in which the claimant is not served its demand and whose claim
+    multiset an earlier row of that claimant already had."""
+    dev = report.counterexample
+    repeated = 0
+    for i in range(cfg.claimants):
+        seen = set()
+        for others in itertools.product(*(g for j, g in enumerate(cfg.grids) if j != i)):
+            profile = list(others)
+            profile.insert(i, cfg.true_demands[i])
+            if dev is not None and (dev.claimant, dev.opponent_reports) == (i, tuple(profile)):
+                return repeated
+            if allocate(cfg.rule, profile, sit.cap)[i] != cfg.true_demands[i]:
+                multiset = tuple(sorted(profile))
+                repeated += multiset in seen
+                seen.add(multiset)
+    return repeated
+
+
+def test_both_checks_match_the_per_cell_oracle_at_the_benchmark_shape():
+    # Four firms, each on the grid k*cap/6 (k = 0..6) plus its own demand.
+    sit = support.scarce_situation(random.Random(21), n_firms=4)
+    found = {}
+    for rule in RULES:
+        cfg = make_config(sit, rule, grid=[k * sit.cap / 6 for k in range(7)])
+        assert math.prod(len(g) for g in cfg.grids) == 8 * 8 * 7 * 8  # firm 3 demands 0
+        report = dominance_check(sit, cfg)
+        assert report == _reference_dominance(sit, cfg), rule
+        for profile in (cfg.truthful_profile, (0,) * 4, (sit.cap,) * 4,
+                        tuple(g[len(g) // 2] for g in cfg.grids)):
+            assert (equilibrium_check(sit, cfg, profile)
+                    == _reference_equilibrium(sit, cfg, profile)), (rule, profile)
+        found[rule] = (report.truthful_dominant, _repeated_rows(sit, cfg, report))
+    # counterexamples of PROP and TAL come after rows skipped as repeats
+    assert found == {"cea": (True, 298), "cel": (False, 0),
+                     "prop": (False, 87), "tal": (False, 254)}
+
+
 def _count_work(monkeypatch):
     allocations = []
     valuations = collections.Counter()
@@ -381,14 +420,15 @@ def test_a_deviation_that_does_not_replay_is_refused(monkeypatch, example3, chec
             equilibrium_check(example3, cfg, cfg.truthful_profile)
 
 
-def test_dominance_check_rations_each_profile_once(monkeypatch, example3):
+def test_dominance_check_rations_each_claim_multiset_once(monkeypatch, example3):
     # Under CEA every cell is decided by integer awards: a claimant served its
     # demand skips its row, and a rationed one is never raised by a deviation.
+    # The 729 profiles hold 156 distinct claim multisets, each rationed once.
     allocations, valuations = _count_work(monkeypatch)
     cea = make_config(example3, "cea", grid=REFERENCE_GRID)
     assert math.prod(len(g) for g in cea.grids) == 729
     assert dominance_check(example3, cea).truthful_dominant
-    assert len(allocations) == len(set(allocations)) == 673
+    assert len(allocations) == len(set(allocations)) == 156
     assert not valuations
 
     del allocations[:]
@@ -411,17 +451,19 @@ def test_dominance_check_work_on_four_claimants(monkeypatch):
     cfg = make_config(sit, "cea")
     assert math.prod(len(g) for g in cfg.grids) == 625
     assert dominance_check(sit, cfg).truthful_dominant
-    assert len(allocations) == len(set(allocations)) == 601
+    assert len(allocations) == len(set(allocations)) == 297
     assert not valuations
 
 
-def test_equilibrium_check_rations_each_profile_once(monkeypatch, example3):
+def test_equilibrium_check_rations_each_claim_multiset_once(monkeypatch, example3):
     # Every claimant is rationed at the truthful CEA profile, so each of its
-    # deviations is rationed once and none lifts its award.
+    # deviations is rationed and none lifts its award.  The two claimants
+    # that report 20 share their 8 deviation multisets.
     allocations, valuations = _count_work(monkeypatch)
     cfg = make_config(example3, "cea", grid=REFERENCE_GRID)
+    assert cfg.truthful_profile == (20, 20, 25)
     assert equilibrium_check(example3, cfg, cfg.truthful_profile).holds
-    assert len(allocations) == len(set(allocations)) == 1 + 3 * 8
+    assert len(allocations) == len(set(allocations)) == 1 + 2 * 8
     assert not valuations
 
 
@@ -447,6 +489,30 @@ def test_non_exhausting_rule_faults_the_mechanism_checks(monkeypatch, example3):
         dominance_check(example3, cfg)
     with pytest.raises(RuntimeError, match="exhaust"):
         equilibrium_check(example3, cfg, (30, 20, 25))
+
+
+def _first_of_equals_cea(cap, claims):
+    """Exhausts the cap, no award above its claim, but moves a half unit of
+    CEA's award from the second of two equal rationed claims to the first."""
+    nums, den = bankruptcy._cea(cap, claims)
+    nums = [2 * a for a in nums]
+    for i, j in itertools.combinations(range(len(claims)), 2):
+        if claims[i] == claims[j] and 0 < nums[j] < 2 * claims[j] * den:
+            nums[i] += 1
+            nums[j] -= 1
+            break
+    return nums, 2 * den
+
+
+def test_a_non_anonymous_rule_faults_the_mechanism_checks(monkeypatch, example3):
+    monkeypatch.setitem(bankruptcy._RULE_FUNCTIONS, "cea", _first_of_equals_cea)
+    cfg = make_config(example3, "cea", grid=REFERENCE_GRID)
+    # rationing a profile, rather than a claim multiset, sees the favour
+    assert allocate("cea", cfg.truthful_profile, example3.cap)[:2] == (F(101, 6), F(99, 6))
+    with pytest.raises(RuntimeError, match="awards equal claims 20 unequally"):
+        dominance_check(example3, cfg)
+    with pytest.raises(RuntimeError, match="awards equal claims 20 unequally"):
+        equilibrium_check(example3, cfg, cfg.truthful_profile)
 
 
 def _greedy_cea(cap, claims):
@@ -544,11 +610,12 @@ for check in (lambda: dataclasses.replace(cfg, grids=cfg.grids + cfg.grids[:1]),
         check()
     except (RuntimeError, ValueError) as exc:
         print("raised", type(exc).__name__, exc)
-bankruptcy._RULE_FUNCTIONS["cea"] = test_mechanism._greedy_cea
-try:
-    dominance_check(sit, cfg)
-except RuntimeError as exc:
-    print("raised", type(exc).__name__, exc)
+for rule in (test_mechanism._greedy_cea, test_mechanism._first_of_equals_cea):
+    bankruptcy._RULE_FUNCTIONS["cea"] = rule
+    try:
+        dominance_check(sit, cfg)
+    except RuntimeError as exc:
+        print("raised", type(exc).__name__, exc)
 print("optimize", sys.flags.optimize)
 """
     here = Path(__file__).resolve().parent
@@ -558,7 +625,7 @@ print("optimize", sys.flags.optimize)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[-1] == "optimize 1"
-    assert len(lines) == 10
+    assert len(lines) == 11
     # refused at construction or on the economy, before the halving rule rations anything
     assert lines[:6] == [
         "raised ValueError 4 report grids for 3 firms",
@@ -568,3 +635,4 @@ print("optimize", sys.flags.optimize)
     assert all(line.startswith("raised RuntimeError") and "exhaust" in line
                for line in lines[6:8])
     assert lines[8].startswith("raised RuntimeError") and "more than its claim" in lines[8]
+    assert lines[9] == "raised RuntimeError cea awards equal claims 20 unequally"
