@@ -24,6 +24,22 @@ index.  Every decision therefore compares the same rationals as arithmetic
 on Fractions would, and the pivot sequence, the final basis, the primal and
 the dual are the same rationals.
 
+Phase 1 gives every row that is not ``<=`` an artificial column, but only
+the ``=`` rows' artificials are stored.  A ``>=`` row starts with -1 in its
+surplus column and +1 in its artificial one and every pivot acts on columns
+linearly, so in every tableau row the artificial column of ``>=`` row i is
+``-row[sur_i]``.  Its reduced cost is ``-D - red[sur_i]`` in phase 1 (cost
+-1, numerators over the reduced costs' denominator D) and ``-red[sur_i]``
+in phase 2, so that row's dual is ``y_i = red[sur_i]``.  Each omitted entry
+is a combination of stored ones, so no row's gcd changes.  The artificials
+keep their column numbers (structural | slack/surplus | artificial), which
+the basis holds, so Bland's scan and the ratio test's tie-break see what
+they would see with every column stored.  An implicit artificial that
+re-enters in phase 1 is pivoted on through its entries as read from the
+surplus column, and every row's update is the one the stored column would
+give.  A basic implicit artificial has a nonzero surplus entry, so it
+always leaves the basis before phase 2.
+
 Every optimum is certified before it is returned: primal feasibility,
 complementary slackness, strong duality and dual feasibility, the last
 recomputed from the standard-form rows rather than read off the tableau.
@@ -152,7 +168,10 @@ class LpSolution:
     nonpositive one.  At an optimum the pair (primal, dual) satisfies
     complementary slackness exactly.  At an optimum, ``_tableau`` holds the
     solver's final state for a ``BasisTable`` to take in: the tableau rows
-    with the reduced costs last, their denominators and the basis.
+    with the reduced costs last, their denominators and the basis.  Its
+    rows hold only the stored columns, which lack the ``>=`` rows'
+    artificials (see ``solve``); a program without ``>=`` rows, the only
+    kind a ``BasisTable`` solves, stores every column at its number.
     """
 
     status: str
@@ -189,48 +208,58 @@ def solve(lp: LinearProgram) -> LpSolution:
     m = lp.n_rows
     work = [_std_row(*row) for row in zip(lp.rows, lp.rhs, lp.senses)]
 
-    # Column layout: structural | slack/surplus | artificial, then rhs.
+    # Columns are numbered structural | slack/surplus | artificial, with one
+    # artificial per row that is not <=, and the basis holds these numbers.
+    # Stored: structural | slack/surplus | the = rows' artificials, then rhs;
+    # a >= row's artificial is its negated surplus (module docstring).
     slack_col: list[int] = [-1] * m
-    unit_col: list[int] = [-1] * m  # column whose tableau entries expose B^-1
     next_col = n
     for i in range(m):
         if work[i].sense != EQ:
             slack_col[i] = next_col
             next_col += 1
-    first_art = next_col  # artificial columns come last and never re-enter
-    for i in range(m):
-        if work[i].sense == LE:
-            unit_col[i] = slack_col[i]
-        else:
-            unit_col[i] = next_col
-            next_col += 1
-    total = next_col
+    first_art = next_col  # artificials are numbered last and never enter in phase 2
+    unit_col = list(slack_col)  # stored column that exposes B^-1, negated on a >= row
+    arts: list[tuple[int, bool]] = []  # (stored column, implicit) per artificial
+    basis = [0] * m
+    width = first_art
+    for i, row in enumerate(work):
+        if row.sense == LE:
+            basis[i] = slack_col[i]
+            continue
+        basis[i] = first_art + len(arts)
+        if row.sense == EQ:
+            unit_col[i] = width
+            width += 1
+        arts.append((unit_col[i], row.sense == GE))
 
     # Row i of the tableau is rows[i] / dens[i]; a row from _integer_row is
     # in lowest terms, and the slack and unit entries (+-1) keep it so.
     rows: list[list[int]] = []
     dens: list[int] = []
-    basis = [0] * m
     for i, (structural, sense, b, den, _) in enumerate(work):
-        row = structural + [0] * (total - n) + [b]
-        if slack_col[i] >= 0:
-            row[slack_col[i]] = den if sense == LE else -den
-        row[unit_col[i]] = den
+        row = structural + [0] * (width - n) + [b]
+        row[unit_col[i]] = -den if sense == GE else den
         rows.append(row)
         dens.append(den)
-        basis[i] = unit_col[i]
 
     obj, obj_den = _integer_row(lp.objective)
 
-    if first_art < total:
-        phase1 = [0] * first_art + [-1] * (total - first_art)
-        if _run_simplex(rows, dens, basis, phase1, 1, total) is None:
+    if arts:
+        phase1 = [0] * first_art + [-1] * (width - first_art)
+        if _run_simplex(rows, dens, basis, phase1, 1, first_art, arts) is None:
             raise RuntimeError("phase-1 objective cannot be unbounded")
-        if any(rows[i][total] for i in range(m) if basis[i] >= first_art):
+        if any(rows[i][width] for i in range(m) if basis[i] >= first_art):
             return LpSolution(status=INFEASIBLE)
         _drive_out_artificials(rows, dens, basis, first_art)
+        # Only a redundant = row keeps its artificial, with no entry below
+        # first_art, so no phase-2 pivot or tie-break reads it; from here on
+        # the basis names it by its stored column.
+        for i in range(m):
+            if basis[i] >= first_art:
+                basis[i] = arts[basis[i] - first_art][0]
 
-    reduced = _run_simplex(rows, dens, basis, obj + [0] * (total - n), obj_den, first_art)
+    reduced = _run_simplex(rows, dens, basis, obj + [0] * (width - n), obj_den, first_art)
     if reduced is None:
         return LpSolution(status=UNBOUNDED)
     red, red_den = reduced
@@ -238,13 +267,14 @@ def solve(lp: LinearProgram) -> LpSolution:
     primal = [ZERO] * n
     for i in range(m):
         if basis[i] < n:
-            primal[basis[i]] = Fraction(rows[i][total], dens[i])
+            primal[basis[i]] = Fraction(rows[i][width], dens[i])
     objective_value = sum(
         (cj * xj for cj, xj in zip(lp.objective, primal)), ZERO)
 
     # y = c_B B^-1.  A unit column costs nothing in phase 2, so its reduced
-    # cost is -y_i; a flipped row reports -y_i.
-    y = [-red[unit_col[i]] for i in range(m)]  # numerators over red_den
+    # cost is -y_i, and a >= row's is -red[sur_i]; a flipped row reports -y_i.
+    y = [red[col] if row.sense == GE else -red[col]  # numerators over red_den
+         for row, col in zip(work, unit_col)]
     dual = tuple(Fraction(row.flip * yi, red_den) for row, yi in zip(work, y))
 
     rows.append(red)
@@ -480,7 +510,9 @@ def _drive_out_artificials(rows, dens, basis, first_art) -> None:
     """Pivot zero-valued basic artificials out so they stay out in phase 2.
 
     A row whose non-artificial entries are all zero is redundant; its
-    artificial stays basic at zero and no later pivot can move it.
+    artificial stays basic at zero and no later pivot can move it.  That
+    row is an = row's: a >= row's basic artificial is its negated surplus,
+    whose entry in the row is nonzero.
     """
     for i in range(len(basis)):
         if basis[i] < first_art:
@@ -492,38 +524,68 @@ def _drive_out_artificials(rows, dens, basis, first_art) -> None:
                 break
 
 
-def _run_simplex(rows, dens, basis, cost, cost_den, n_enterable):
-    """Pivot until optimal over the columns below ``n_enterable``.
+def _run_simplex(rows, dens, basis, cost, cost_den, n_enterable, arts=()):
+    """Pivot until optimal over the columns below ``n_enterable`` and then,
+    in phase 1, the artificials ``arts``.
 
     ``cost`` holds integer numerators over ``cost_den``.  Returns the final
     reduced costs as (numerators, denominator), or None when the objective
     is unbounded.  While it runs, the reduced costs are one more row of
     ``rows``, so every pivot updates them like any row.
+
+    Column number j is stored at j, except artificial k, which is number
+    n_enterable + k and has ``arts[k] = (col, implicit)``: it is stored at
+    col, or, when implicit, it is -1 times the surplus column col with
+    reduced cost -D - red[col] over the reduced costs' denominator D.
     """
     m = len(basis)
     rhs = len(cost)
     red = [*cost, 0]
     rows.append(red)
     dens.append(cost_den)
+
+    def stored(j):
+        """Column number j's (stored column, implicit)."""
+        return (j, False) if j < n_enterable or not arts else arts[j - n_enterable]
+
+    def reduced(j):
+        col, implicit = stored(j)
+        return -dens[m] - red[col] if implicit else red[col]
+
+    def entries(j):
+        """Column number j's entries in every row, the reduced costs last."""
+        col, implicit = stored(j)
+        column = [row[col] for row in rows]
+        if implicit:
+            column = [-a for a in column]
+            column[m] -= dens[m]
+        return column
+
     try:
         for i in range(m):  # price out the starting basis
-            if red[basis[i]]:
+            a = reduced(basis[i])
+            if a:
                 row = rows[i]
-                dens[m] = _eliminate(red, dens[m], row, dens[i], basis[i],
-                                     [j for j, a in enumerate(row) if a])
+                dens[m] = _eliminate(red, dens[m], a, row, dens[i],
+                                     [j for j, b in enumerate(row) if b])
         while True:
             pivot_col = -1
             for j in range(n_enterable):  # Bland: first improving column
                 if red[j] > 0:
                     pivot_col = j
                     break
+            else:
+                for j in range(n_enterable, n_enterable + len(arts)):
+                    if reduced(j) > 0:
+                        pivot_col = j
+                        break
             if pivot_col < 0:
                 return red, dens[m]
-            pivot_row = _ratio_test(basis, (row[rhs] for row in rows),
-                                    (row[pivot_col] for row in rows))
+            column = entries(pivot_col)
+            pivot_row = _ratio_test(basis, (row[rhs] for row in rows), column)
             if pivot_row < 0:
                 return None
-            _pivot(rows, dens, basis, pivot_row, pivot_col)
+            _pivot(rows, dens, basis, pivot_row, pivot_col, column)
     finally:
         rows.pop()
         dens.pop()
@@ -542,10 +604,14 @@ def _ratio_test(basis, values, column) -> int:
     return r
 
 
-def _pivot(rows, dens, basis, pr, pc) -> None:
-    """Make column ``pc`` basic in row ``pr``; every other row loses it."""
+def _pivot(rows, dens, basis, pr, pc, column=None) -> None:
+    """Make column number ``pc`` basic in row ``pr``; every other row loses
+    it.  ``column`` holds its entry in each row of ``rows``, read from the
+    stored column pc when not given."""
+    if column is None:
+        column = [row[pc] for row in rows]
     prow = rows[pr]
-    p = prow[pc]
+    p = column[pr]
     if p < 0:
         prow = [-a for a in prow]
         p = -p
@@ -556,21 +622,22 @@ def _pivot(rows, dens, basis, pr, pc) -> None:
     rows[pr] = prow
     dens[pr] = p  # the pivot entry is now p / p = 1
     support = [j for j, a in enumerate(prow) if a]
-    for i, row in enumerate(rows):
-        if i != pr and row[pc]:
-            dens[i] = _eliminate(row, dens[i], prow, p, pc, support)
+    for i, (row, a) in enumerate(zip(rows, column)):
+        if a and i != pr:
+            dens[i] = _eliminate(row, dens[i], a, prow, p, support)
     basis[pr] = pc
 
 
-def _eliminate(row, den, prow, pden, pc, support) -> int:
-    """row -= (row[pc] / den) * prow in place, where prow[pc] / pden == 1.
+def _eliminate(row, den, entry, prow, pden, support) -> int:
+    """row -= (entry / den) * prow in place, where ``entry`` is the row's
+    numerator in the pivot column and the pivot row's is pden.
 
     Only the nonzero columns ``support`` of the pivot row change, unless
     the new denominator scales the whole row.  Returns the new denominator
     after the row is reduced to lowest terms.
     """
-    g = gcd(row[pc], pden)
-    scale, factor = pden // g, row[pc] // g
+    g = gcd(entry, pden)
+    scale, factor = pden // g, entry // g
     if scale != 1:
         row[:] = [a * scale for a in row]
         den *= scale

@@ -78,6 +78,74 @@ def oracle_optimum(program: lp.LinearProgram):
         sum(c * v for c, v in zip(program.objective, x)) for x in vertices)
 
 
+def reference_pivots(program: lp.LinearProgram):
+    """(status, pivots) of the textbook two-phase simplex on ``program`` in
+    Fraction arithmetic, with every column stored: structural |
+    slack/surplus | one artificial per row that is not ``<=`` once a
+    negative right-hand side has flipped it.  Bland's rule picks the first
+    improving column and, among tied ratios, the row whose basic column is
+    least; phase 1 may enter any column, phase 2 none of the artificials.
+    ``pivots`` lists each (row, column) pivot in order, the pivots that
+    drive zero-valued artificials out after phase 1 included."""
+    n, m = program.n_vars, program.n_rows
+    flip = {lp.LE: lp.GE, lp.GE: lp.LE, lp.EQ: lp.EQ}
+    rows, senses = [], []
+    for coeffs, sense, b in zip(program.rows, program.senses, program.rhs):
+        sign = -1 if b < 0 else 1
+        rows.append([sign * a for a in coeffs] + [sign * b])
+        senses.append(flip[sense] if sign < 0 else sense)
+    first_art = n + sum(s != lp.EQ for s in senses)
+    total = first_art + sum(s != lp.LE for s in senses)
+    tableau, basis = [], []
+    slack, art = n, first_art
+    for row, sense in zip(rows, senses):
+        full = row[:n] + [F(0)] * (total - n) + row[n:]
+        if sense != lp.EQ:
+            full[slack] = F(1 if sense == lp.LE else -1)
+            slack += 1
+        if sense == lp.LE:
+            basis.append(slack - 1)
+        else:
+            full[art] = F(1)
+            basis.append(art)
+            art += 1
+        tableau.append(full)
+    pivots = []
+
+    def pivot(r, j):
+        pivots.append((r, j))
+        tableau[r] = [a / tableau[r][j] for a in tableau[r]]
+        for i, row in enumerate(tableau):
+            if i != r and row[j]:
+                tableau[i] = [a - row[j] * b for a, b in zip(row, tableau[r])]
+        basis[r] = j
+
+    def simplex(cost, enterable):
+        while True:
+            red = list(cost)
+            for row, col in zip(tableau, basis):
+                red = [a - cost[col] * b for a, b in zip(red, row)]
+            j = next((j for j in range(enterable) if red[j] > 0), None)
+            if j is None:
+                return True
+            rows = [i for i in range(m) if tableau[i][j] > 0]
+            if not rows:
+                return False
+            pivot(min(rows, key=lambda i: (tableau[i][total] / tableau[i][j], basis[i])), j)
+
+    if first_art < total:
+        simplex([F(0)] * first_art + [F(-1)] * (total - first_art) + [F(0)], total)
+        if any(tableau[i][total] for i in range(m) if basis[i] >= first_art):
+            return lp.INFEASIBLE, pivots
+        for i in range(m):
+            if basis[i] >= first_art:
+                j = next((j for j in range(first_art) if tableau[i][j]), None)
+                if j is not None:
+                    pivot(i, j)
+    cost = list(program.objective) + [F(0)] * (total - n + 1)
+    return (lp.OPTIMAL if simplex(cost, first_art) else lp.UNBOUNDED), pivots
+
+
 def rand_fraction(rng: random.Random, lo=0, hi=9, denominators=(1, 1, 2, 3)):
     return F(rng.randint(lo, hi), rng.choice(denominators))
 

@@ -1,6 +1,6 @@
 """Byte-for-byte replay of recorded exact LP solutions.
 
-``golden_lp.json`` holds about 150 seeded programs and, for each, the
+``golden_lp.json`` holds about 170 seeded programs and, for each, the
 status, objective value, primal and dual the solver returned, every number
 written as a ``p/q`` string.  The programs are random bounded programs,
 programs with degenerate right-hand sides, with free variables, with finite
@@ -121,6 +121,98 @@ def test_lp_solutions_match_recording():
         assert _encode_solution(sol) == case["solution"], case["name"]
 
 
+def _artificials(program: lp.LinearProgram) -> tuple[int, list[str]]:
+    """The number of the first artificial column and the standard-form
+    sense of each artificial's row.  The solver numbers the columns
+    structural | slack/surplus | artificial, one slack or surplus per row
+    that is not ``=`` and one artificial per row that is not ``<=`` once a
+    negative right-hand side has flipped it."""
+    senses = [lp._FLIPPED[s] if b < 0 else s for s, b in zip(program.senses, program.rhs)]
+    return (program.n_vars + sum(s != lp.EQ for s in senses),
+            [s for s in senses if s != lp.LE])
+
+
+def _solve_recording_pivots(program: lp.LinearProgram) -> tuple[str, list]:
+    """``lp.solve``'s status and its (row, column number) pivots in order."""
+    pivots = []
+    real = lp._pivot
+
+    def recording(rows, dens, basis, pr, pc, *rest):
+        pivots.append((pr, pc))
+        return real(rows, dens, basis, pr, pc, *rest)
+
+    lp._pivot = recording
+    try:
+        status = lp.solve(program).status
+    finally:
+        lp._pivot = real
+    return status, pivots
+
+
+def _artificial_entries(program: lp.LinearProgram) -> list[str]:
+    """The standard-form sense of each row whose artificial column enters
+    the basis while ``program`` is solved, in pivot order.  Every
+    artificial starts basic, so each entry is a re-entry in phase 1."""
+    first_art, art_rows = _artificials(program)
+    return [art_rows[pc - first_art]
+            for _, pc in _solve_recording_pivots(program)[1] if pc >= first_art]
+
+
+def _draw_mixed(rng: random.Random) -> lp.LinearProgram:
+    """An x >= 0 program of 2-6 rows, most of them >=, some =, whose
+    right-hand sides may be negative, with a box row that bounds it."""
+    import support
+
+    n, m = rng.randint(2, 5), rng.randint(2, 6)
+    constraints = [([support.rand_fraction(rng, -4, 6) for _ in range(n)],
+                    rng.choice((lp.LE, lp.GE, lp.GE, lp.EQ)),
+                    support.rand_fraction(rng, -6, 12, (1, 1, 2)))
+                   for _ in range(m)]
+    constraints.append(([1] * n, lp.LE, rng.randint(5, 20)))
+    return lp.linear_program([rng.randint(-6, 9) for _ in range(n)], constraints)
+
+
+def _mixed_program(data: dict) -> lp.LinearProgram:
+    """A recorded x >= 0 program, as ``lp.solve`` takes it."""
+    return lp.LinearProgram(_parse(data["objective"]), tuple(map(_parse, data["rows"])),
+                            tuple(data["senses"]), _parse(data["rhs"]))
+
+
+def _mixed_cases() -> list[lp.LinearProgram]:
+    return [_mixed_program(case["program"]) for case in json.loads(GOLDEN.read_text())
+            if case["name"].startswith(("mixed-", "reentry-"))]
+
+
+def test_mixed_cases_re_enter_implicit_and_mix_stored_artificials():
+    # The >= rows' artificial columns are implicit (the negated surplus) and
+    # the = rows' are stored; the recording must exercise both kinds.
+    mixed = _mixed_cases()
+    assert len(mixed) == 20
+    assert sum(lp.GE in _artificial_entries(program) for program in mixed) >= 3
+    assert sum({lp.GE, lp.EQ} <= set(_artificials(program)[1]) for program in mixed) >= 2
+
+
+def test_pivots_match_the_simplex_that_stores_every_artificial():
+    # The >= rows' artificials are implicit, yet every pivot is the one the
+    # textbook tableau takes.  A re-entered artificial's reduced cost
+    # steers later phase-1 pivots but seldom the optimum, so besides the
+    # 20 recorded cases and the first 300 draws every draw whose
+    # artificial re-enters is compared.
+    import support
+
+    rng = random.Random(8)
+    programs = _mixed_cases() + [_draw_mixed(rng) for _ in range(2500)]
+    re_entered = 0
+    for k, program in enumerate(programs):
+        status, pivots = _solve_recording_pivots(program)
+        first_art, art_rows = _artificials(program)
+        entered = [art_rows[pc - first_art] for _, pc in pivots if pc >= first_art]
+        if k < 320 or entered:
+            assert (status, pivots) == support.reference_pivots(program), program
+            re_entered += lp.GE in entered
+    assert re_entered >= 40
+
+
 def test_beale_cycling_example_terminates_at_the_optimum():
     import support
 
@@ -216,6 +308,15 @@ def _programs():
                                ("resource-minus", resource_game(game, MINUS))):
             _, program = stability._core_program(derived)
             yield f"core-n{n_firms}-{k}-{title}", _free_form(program)
+
+    rng = random.Random(7)
+    for k in range(14):
+        yield f"mixed-{k}", feasible(lambda: _rebuild(_draw_mixed(rng)))
+    for k in range(6):
+        program = _draw_mixed(rng)
+        while lp.GE not in _artificial_entries(program) or lp.solve(program).status != lp.OPTIMAL:
+            program = _draw_mixed(rng)
+        yield f"reentry-{k}", _rebuild(program)
 
 
 def _record() -> list:

@@ -159,6 +159,36 @@ def test_sweep_refuses_a_program_it_cannot_walk(monkeypatch):
             _sweep(lp.linear_program([1], rows), 1)
 
 
+def test_a_ge_row_stores_no_artificial_column(monkeypatch):
+    # The core program of a five-player game has 30 >= rows and no other;
+    # each row's artificial is its negated surplus and is never stored.
+    from permit_games import stability
+    from permit_games.bankruptcy import CEA
+    from permit_games.partition_games import build_game, optimistic_game
+
+    rng = random.Random(6)
+    sit = None
+    while sit is None:
+        sit = support.scarce_situation(rng, n_firms=5)
+    _, program = stability._core_program(optimistic_game(build_game(sit, CEA)))
+    assert set(program.senses) == {lp.GE} and program.n_rows == 30
+    expected = lp.solve(program)
+    widths = set()
+    real = lp._pivot
+
+    def recording(rows, dens, basis, pr, pc, *rest):
+        widths.update(map(len, rows))
+        return real(rows, dens, basis, pr, pc, *rest)
+
+    monkeypatch.setattr(lp, "_pivot", recording)
+    sol = lp.solve(program)
+    # structural | surplus | rhs, for the tableau rows and the reduced costs
+    assert widths == {program.n_vars + program.n_rows + 1}
+    assert sol.status == lp.OPTIMAL
+    assert ((sol.objective_value, sol.primal, sol.dual)
+            == (expected.objective_value, expected.primal, expected.dual))
+
+
 _REAL_RUN_SIMPLEX = lp._run_simplex
 # One pivot (slack out, x in) reaches the optimum x = 5.
 ONE_PIVOT = lp.linear_program([1], [([1], lp.LE, 5)])
