@@ -5,6 +5,8 @@ mechanism, infeasible ledger, failed reproduction), 2 input or usage error
 (one of the package's input error classes), 3 internal fault (a failed
 certificate or invariant check, or any other ValueError, which is a bug and
 never a verdict on the input; one ``internal error:`` line on stderr).
+A command that takes ``--partition-limit`` refuses more firms than that limit
+(exit 2) before any analysis runs; the library enumerates any size it is given.
 Output is deterministic for identical input: no timestamps, stable ordering.
 One table, ``SUBCOMMANDS``, drives parsing, help and dispatch; a call that
 names a subcommand builds only that subcommand's parser.
@@ -22,7 +24,6 @@ from .games import lex_coalitions
 from .lp import LpStructureError
 from .mechanism import GridSizeError, dominance_check, equilibrium_check, make_config
 from .partition_games import MINUS, PLUS, build_game, optimistic_game, pessimistic_game, resource_game, resource_witnesses
-from .partitions import PartitionLimitError
 from .production import SituationError, optimal_demand
 from .reference import run_reference_checks
 from .report import FORMATS, MAX_PRECISION, Report, coalition_label, decimal_str, partition_label
@@ -31,7 +32,7 @@ from .stability import CoreVerdict, TargetError, core_nonempty, stable_pipeline,
 
 INPUT_ERRORS = (
     ScenarioError, SituationError, bankruptcy.RationingError,
-    PartitionLimitError, GridSizeError, LpStructureError, TargetError,
+    GridSizeError, LpStructureError, TargetError,
 )
 
 # --game choice -> (report title, derived game of a partition game); the
@@ -86,7 +87,9 @@ def _dispatch(args) -> int:
         scenario = dataclasses.replace(scenario, rule=args.rule)
     if args.dump_scenario is not None:
         dump_scenario(scenario, args.dump_scenario)
-    precision = _precision(scenario, args)  # refused before any analysis runs
+    precision = _precision(scenario, args)  # both refused before any analysis runs
+    if command.shared is LIMITED_OPTIONS:
+        _check_firm_count(scenario, args)
     report, code = command.handler(scenario, args, precision)
     print(report.render(args.fmt or scenario.options.report_format, precision), end="")
     return code
@@ -102,21 +105,23 @@ def _precision(scenario, args) -> int:
     return scenario.options.precision
 
 
-def _limit(scenario, args) -> int:
-    if args.partition_limit is not None:
-        if args.partition_limit < 1:
-            raise ScenarioError("--partition-limit must be positive")
-        return args.partition_limit
-    return scenario.options.partition_limit
+def _check_firm_count(scenario, args) -> None:
+    """Refuse more firms than the partition limit; the message formats no
+    Bell(n) or 2^n count, which can be too long to print."""
+    limit = args.partition_limit
+    if limit is None:
+        limit = scenario.options.partition_limit
+    elif limit < 1:
+        raise ScenarioError("--partition-limit must be positive")
+    n = scenario.situation.n_firms
+    if n > limit:
+        raise ScenarioError(
+            f"{n} firms exceed the partition limit of {limit} firms; "
+            "raise it with --partition-limit")
 
 
 def _cmd_demands(scenario, args, precision):
     sit = scenario.situation
-    limit = _limit(scenario, args)
-    if sit.n_firms > limit:
-        raise PartitionLimitError(
-            f"demands of {sit.n_firms} firms ({2 ** sit.n_firms - 1} coalitions) exceed "
-            f"the partition limit of {limit} firms; raise it with --partition-limit")
     report = Report()
     sec = report.section(f"optimal permit demands [{scenario.name}]",
                          ["coalition", "demand"])
@@ -126,7 +131,7 @@ def _cmd_demands(scenario, args, precision):
 
 
 def _cmd_game(scenario, args, precision):
-    game = build_game(scenario.situation, scenario.rule, limit=_limit(scenario, args))
+    game = build_game(scenario.situation, scenario.rule)
     report = Report()
     sec = report.section(
         f"partition game under {scenario.rule} [{scenario.name}]",
@@ -143,7 +148,7 @@ def _cmd_game(scenario, args, precision):
 
 def _core_section(report, title, game_values, verdict: CoreVerdict, precision):
     sec = report.section(title, ["coalition", "value"])
-    for fs in sorted(game_values.values, key=lambda s: tuple(sorted(s))):
+    for fs in game_values.coalitions():
         sec.add_row(coalition_label(fs), game_values.values[fs])
     if verdict.nonempty:
         witness = ", ".join(
@@ -166,7 +171,7 @@ def _core_section(report, title, game_values, verdict: CoreVerdict, precision):
 
 def _cmd_cores(scenario, args, precision):
     sit = scenario.situation
-    game = build_game(sit, scenario.rule, limit=_limit(scenario, args))
+    game = build_game(sit, scenario.rule)
     chosen = CORE_GAMES if args.game == "all" else (args.game,)
     report = Report()
     all_nonempty = True
@@ -182,7 +187,7 @@ def _cmd_cores(scenario, args, precision):
 
 
 def _cmd_resource_games(scenario, args, precision):
-    game = build_game(scenario.situation, scenario.rule, limit=_limit(scenario, args))
+    game = build_game(scenario.situation, scenario.rule)
     report = Report()
     for sense, title in ((PLUS, "best-case"), (MINUS, "worst-case")):
         sec = report.section(
@@ -196,7 +201,7 @@ def _cmd_resource_games(scenario, args, precision):
 
 def _cmd_pipeline(scenario, args, precision):
     sit = scenario.situation
-    result = stable_pipeline(sit, scenario.rule, limit=_limit(scenario, args))
+    result = stable_pipeline(sit, scenario.rule)
     report = Report()
     sec = report.section(
         f"stability pipeline under {scenario.rule} [{scenario.name}]",
@@ -286,7 +291,7 @@ def _cmd_trade(scenario, args, precision):
     target = (None if args.target is None
               else tuple(exact(part.strip(), "--target") for part in args.target.split(",")))
     price = exact(args.price.strip(), "--price") if args.price is not None else None
-    pipeline = stable_pipeline(sit, scenario.rule, limit=_limit(scenario, args))
+    pipeline = stable_pipeline(sit, scenario.rule)
     if not (pipeline.scarce and pipeline.claims_exceed_cap):
         raise ScenarioError(
             "trading analysis needs a rationed cap: both the grand demand and "

@@ -172,8 +172,9 @@ def _walk(cfg: MechanismConfig, grids: Sequence[Sequence[Fraction]],
     sizes = [len(g) for g in grids]
     cells = k * math.prod(sizes)
     if cells > DEFAULT_CELL_LIMIT:
-        raise GridSizeError(
-            f"{cells} payoff cells exceed the limit of {DEFAULT_CELL_LIMIT}")
+        raise GridSizeError(  # the count itself can be too long to print
+            f"{k} claimants times the grid product is more than "
+            f"{DEFAULT_CELL_LIMIT} payoff cells")
     scale = math.lcm(sit.cap.denominator, *(v.denominator for g in grids for v in g))
     cap = sit.cap.numerator * (scale // sit.cap.denominator)
     units = [tuple(v.numerator * (scale // v.denominator) for v in g) for g in grids]

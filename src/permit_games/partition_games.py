@@ -28,7 +28,7 @@ from typing import Iterable
 
 from . import bankruptcy
 from .games import CharacteristicGame, lex_coalitions
-from .partitions import DEFAULT_LIMIT, Partition, enumerate_partitions
+from .partitions import Partition, enumerate_partitions
 from .production import Situation, coalition_value, optimal_demand
 
 PLUS = "plus"
@@ -70,10 +70,11 @@ class PartitionGame:
         return self.values[frozenset(self.players), self.grand_partition]
 
 
-def build_game(sit: Situation, rule: str, limit: int = DEFAULT_LIMIT) -> PartitionGame:
-    """Tabulate permit shares and block profits for every coalition structure."""
+def build_game(sit: Situation, rule: str) -> PartitionGame:
+    """Tabulate permit shares and block profits for every coalition structure,
+    all Bell(n) of them: keeping the firm count n feasible is the caller's job."""
     rule = bankruptcy.check_rule(rule)
-    partitions = enumerate_partitions(sit.n_firms, limit)
+    partitions = enumerate_partitions(sit.n_firms)
     demands = {fs: optimal_demand(sit, fs) for fs in lex_coalitions(sit.firms())}
     # Claims and cap in one integer unit, 1/scale permits, for every structure.
     scale = lcm(sit.cap.denominator, *(d.denominator for d in demands.values()))

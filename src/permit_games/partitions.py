@@ -5,39 +5,17 @@ firm ids and blocks are ordered by least member, so equality is syntactic.
 Enumeration follows restricted growth strings in lexicographic order, which
 is deterministic and yields exactly the Bell number of partitions: element
 i joins each block of every partition of 1..i-1 in turn, then opens its own.
+Any n is enumerated; which n are feasible is the caller's decision.
 """
 
 from __future__ import annotations
 
 Partition = tuple[tuple[int, ...], ...]
 
-DEFAULT_LIMIT = 10
 
-
-class PartitionLimitError(ValueError):
-    """Enumeration refused: the Bell number would be unreasonably large."""
-
-
-def bell_number(n: int) -> int:
-    if n < 1:
-        return 1
-    row = [1]
-    for _ in range(n - 1):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[-1]
-
-
-def enumerate_partitions(n: int, limit: int = DEFAULT_LIMIT) -> tuple[Partition, ...]:
+def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     if n < 1:
         raise ValueError("need at least one element to partition")
-    if n > limit:
-        raise PartitionLimitError(
-            f"partitions of {n} elements ({bell_number(n)} of them) exceed the "
-            f"configured limit of {limit} elements; raise the limit explicitly "
-            "if you really want the exhaustive sweep")
     partitions: list[Partition] = [()]
     for element in range(1, n + 1):
         grown = []

@@ -21,9 +21,11 @@ from typing import Optional, Union
 
 from . import bankruptcy
 from .lp import LpStructureError, as_fraction
-from .partitions import DEFAULT_LIMIT
 from .production import Situation, SituationError
 from .report import FORMATS, MAX_PRECISION, TABLE
+
+
+DEFAULT_LIMIT = 10  # firms; the default of options.partition_limit
 
 
 class ScenarioError(ValueError):

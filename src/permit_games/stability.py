@@ -25,7 +25,7 @@ from .partition_games import (
     pessimistic_game,
     resource_game,
 )
-from .partitions import DEFAULT_LIMIT, block_with_singletons, enumerate_partitions
+from .partitions import block_with_singletons, enumerate_partitions
 from .production import (
     Situation,
     coalition_value,
@@ -178,7 +178,7 @@ def _over_claiming_partition(game: CharacteristicGame) -> Optional[CoreCertifica
     worth = {tuple(sorted(position[p] for p in fs)): v.numerator * (den // v.denominator)
              for fs, v in game.values.items()}
     best_partition, best_total = None, worth[tuple(range(1, n + 1))]
-    for partition in enumerate_partitions(n, limit=n):
+    for partition in enumerate_partitions(n):
         total = sum(map(worth.__getitem__, partition))
         if total > best_total:
             best_partition, best_total = partition, total
@@ -258,8 +258,10 @@ class PipelineReport:
     verdict: str = "abundant"
 
 
-def stable_pipeline(sit: Situation, rule: str, limit: int = DEFAULT_LIMIT) -> PipelineReport:
-    """Demands -> permit split -> resource-core check -> priced money allocation."""
+def stable_pipeline(sit: Situation, rule: str) -> PipelineReport:
+    """Demands -> permit split -> resource-core check -> priced money allocation.
+    A rationed cap runs ``build_game``, so keeping the firm count feasible is
+    the caller's job."""
     rule = bankruptcy.check_rule(rule)
     firms = sit.firms()
     n = len(firms)
@@ -285,7 +287,7 @@ def stable_pipeline(sit: Situation, rule: str, limit: int = DEFAULT_LIMIT) -> Pi
         report.verdict = "abundant" if not claims_exceed else "cap-covers-grand-demand"
         return report
 
-    game = build_game(sit, rule, limit=limit)
+    game = build_game(sit, rule)
     minus = resource_game(game, MINUS)
     report.split_membership = in_core(minus, split)
     report.resource_core = core_nonempty(minus)

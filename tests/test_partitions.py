@@ -1,11 +1,4 @@
-import pytest
-
-from permit_games.partitions import (
-    PartitionLimitError,
-    bell_number,
-    block_with_singletons,
-    enumerate_partitions,
-)
+from permit_games.partitions import block_with_singletons, enumerate_partitions
 
 
 def test_three_elements():
@@ -26,7 +19,6 @@ def test_single_element():
 
 def test_counts_match_bell_numbers():
     for n, bell in [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203)]:
-        assert bell_number(n) == bell
         assert len(enumerate_partitions(n)) == bell
         assert len(set(enumerate_partitions(n))) == bell
 
@@ -63,14 +55,6 @@ def _restricted_growth(n):
 def test_order_matches_the_restricted_growth_recursion():
     for n in range(1, 9):
         assert enumerate_partitions(n) == _restricted_growth(n)
-
-
-def test_limit_refusal():
-    with pytest.raises(PartitionLimitError):
-        enumerate_partitions(11)
-    assert len(enumerate_partitions(5, limit=5)) == 52
-    with pytest.raises(PartitionLimitError):
-        enumerate_partitions(5, limit=4)
 
 
 def test_helpers():

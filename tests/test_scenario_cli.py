@@ -154,11 +154,52 @@ def test_demands_refuses_more_firms_than_the_partition_limit(tmp_path, capsys):
     code, out, err = run_cli(capsys, "demands", "--scenario", str(path))
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
-    assert err.startswith("error: demands of 11 firms") and "--partition-limit" in err
+    assert err.startswith("error: 11 firms exceed") and "--partition-limit" in err
     code, out, _ = run_cli(capsys, "demands", "--scenario", str(path), "--partition-limit", "11")
     assert code == 0 and out.count("\n{") == 2047
     path = write_scenario(tmp_path, {**data, "options": {"partition_limit": 11}})
     assert run_cli(capsys, "demands", "--scenario", str(path))[0] == 0
+
+
+def _uniform_firms(n):
+    """n firms, one resource, every endowment 1."""
+    return {"production": [[1, 2], [1, 1]], "endowments": [[1] * n],
+            "prices": [9, 11], "tax": 2, "cap": 3}
+
+
+LIMITED_COMMANDS = ("demands", "game", "cores", "resource-games", "pipeline", "trade")
+
+
+@pytest.mark.parametrize("n_firms", [11, 2300])
+@pytest.mark.parametrize("command", LIMITED_COMMANDS)
+def test_limited_commands_refuse_more_firms_than_the_limit_before_analysis(
+        tmp_path, capsys, command, n_firms):
+    # 2300 firms would have Bell(2300) structures, a count past the
+    # interpreter's digit limit for printing, so the refusal formats none.
+    path = write_scenario(tmp_path, _uniform_firms(n_firms))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "--scenario", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error: {n_firms} firms exceed the partition limit of 10 firms; "
+                   "raise it with --partition-limit\n")
+
+
+@pytest.mark.parametrize("command", LIMITED_COMMANDS)
+def test_a_partition_limit_below_one_is_refused(tmp_path, capsys, command):
+    path = write_scenario(tmp_path, _uniform_firms(3))
+    code, out, err = run_cli(capsys, command, "--scenario", str(path), "--partition-limit", "0")
+    assert (code, out, err) == (2, "", "error: --partition-limit must be positive\n")
+
+
+def test_mechanism_refuses_too_many_payoff_cells(tmp_path, capsys):
+    # 7000 claimants on a two-level grid are 7000 * 2**7000 cells, a count
+    # too long to print, so the refusal states the bound instead.
+    path = write_scenario(tmp_path, _uniform_firms(7000))
+    code, out, err = run_cli(capsys, "mechanism", "--scenario", str(path), "--grid", "0,1")
+    assert (code, out) == (2, "")
+    assert err == ("error: 7000 claimants times the grid product is more than "
+                   "250000 payoff cells\n")
 
 
 def test_reports_are_byte_identical(scenario_path, capsys):

@@ -166,7 +166,7 @@ def _lp_first_core(game):
         witness[0] += grand - cheapest
         return CoreVerdict(nonempty=True, witness=tuple(witness))
     best, best_excess = None, F(0)
-    for partition in enumerate_partitions(n, limit=n):
+    for partition in enumerate_partitions(n):
         blocks = [frozenset(game.players[i - 1] for i in block) for block in partition]
         excess = sum(game.values[b] for b in blocks) - grand
         if excess > best_excess:
@@ -210,7 +210,7 @@ def _fraction_scan(game):
     number of partitions that reach its total."""
     n, grand = len(game.players), game.grand_value
     totals = []
-    for partition in enumerate_partitions(n, limit=n):
+    for partition in enumerate_partitions(n):
         blocks = [frozenset(game.players[i - 1] for i in block) for block in partition]
         totals.append((sum((game.values[b] for b in blocks), F(0)), blocks))
     best, best_total = None, grand
