@@ -56,11 +56,23 @@ one denominator and y weighted for the rows of A.  Its ``sweep`` walks one
 row's right-hand side down to 0 by dual simplex pivots, so the optimum as a
 function of that right-hand side comes out as exact segments.  The walk
 starts at the first table basis with B^-1 b >= 0, which is then optimal,
-and calls ``solve`` only when no basis qualifies.  Each pivot is stored as
-an edge of the basis it leaves, so it is taken and its new basis checked
-only once.  Every segment is certified at both of its ends, in integers,
-against the rows: x >= 0, A x <= b, complementary slackness and strong
-duality, the last with the stored weights of the checked dual.
+and keeps the B^-1 b that search computed; it calls ``solve`` only when no
+basis qualifies.  Each pivot is stored as an edge of the basis it leaves,
+so it is taken and its new basis checked only once.
+
+Every segment is certified at both of its ends, in integers, against the
+rows: x >= 0, A x <= b, complementary slackness and strong duality.  On one
+basis the primal at depth s = t - z below the sweep's top t is
+x_top - s d, so the residual A x - b is A x_top - b - s g with
+g = A d - e_k for the swept row k.  Once per basis and swept row the table
+computes d from the tableau and g from the rows, checks c.d = y_k and
+g_i = 0 wherever y_i is not 0, and caches them with row k's slack column
+and the slope y_k.  Once per segment it checks x_top in full, computing
+A x_top - b from the rows and c.x_top = y.b with the stored weights of the
+checked dual, then reaches each end by the exact updates x_top - s d and
+A x_top - b - s g and checks x >= 0, A x <= b and complementary slackness
+there; strong duality at both ends follows from the two identities.  The
+segment's value must be c.x at its lower end and its slope y_k.
 """
 
 from __future__ import annotations
@@ -309,10 +321,11 @@ class _Basis(NamedTuple):
     integer rows over positive denominators, the basic column of each row,
     the reduced costs c - yA over ``y_den`` and the dual y = c_B B^-1 over
     ``y_den``.  ``edges`` maps a leaving row to the basis its dual simplex
-    pivot reaches.  The rest is read once, after the dual is checked: the
-    B^-1 part of each row, each structural basic row with its factor to the
-    ``common`` denominator of those rows, and y weighted for the rows of A
-    over ``scale`` (see ``_weights``)."""
+    pivot reaches, and ``along`` a swept row to its ``_Along``.  The rest is
+    read once, after the dual is checked: the B^-1 part of each row, each
+    structural basic row with its factor to the ``common`` denominator of
+    those rows, and y weighted for the rows of A over ``scale`` (see
+    ``_weights``)."""
 
     basis: tuple[int, ...]
     rows: list[list[int]]
@@ -321,11 +334,26 @@ class _Basis(NamedTuple):
     y: list[int]
     y_den: int
     edges: dict
+    along: dict
     inverse: Sequence[list[int]] = ()
     basic: Sequence[tuple[int, int, int]] = ()
     common: int = 1
     weights: Sequence[int] = ()
     scale: int = 1
+
+
+class _Along(NamedTuple):
+    """What a sweep of row k reads of one basis, on which the primal at
+    depth s = t - z below the top t is x_top - s d: row k's slack column of
+    B^-1, over each row's denominator, for the ratio test; the direction d
+    as numerators over the basis's ``common`` denominator; the residual
+    slopes g = A d - e_k of the standard-form rows, g_i as a numerator over
+    den_i * common; and the segment slope y_k."""
+
+    column: list[int]
+    direction: list[int]
+    residual: list[int]
+    slope: Fraction
 
 
 class BasisTable:
@@ -360,30 +388,44 @@ class BasisTable:
         where beta is the column of row k's slack and t the top, is optimal
         down to the breakpoint t - rhs_i / beta_i, least over beta_i > 0,
         and its edge at that row crosses the breakpoint.  Ties follow
-        Bland: the least basic index leaves, the least column enters.  Each
-        segment is certified at both ends before it is kept; a failure
-        raises RuntimeError.
+        Bland: the least basic index leaves, the least column enters.
+
+        On a basis the primal at depth s = t - z is x_top - s d, so its
+        residual A x - b is affine in s.  Once per basis and swept row, the
+        direction d and the residual slopes g = A d - e_k are computed from
+        the rows, c.d = y_k is checked, and so is g_i = 0 wherever y_i is
+        not 0 (``_Along``).  Each segment checks x_top in full, its
+        residual A x_top - b and c.x_top = y.b, and reaches both of its ends
+        by exact updates: x >= 0, A x <= b and complementary slackness
+        there (``_check_segment``).  A failure raises RuntimeError.
         """
         n = self._program.n_vars
         if den <= 0 or any(b < 0 for b in rhs) or rhs[k] <= 0:
             raise ValueError("sweep needs nonnegative right-hand sides and a positive one "
                              "on the swept row")
-        entry = next((e for e in self._bases.values()
-                      if all(sum(map(mul, row, rhs)) >= 0 for row in e.inverse)), None)
-        if entry is None:
+        # The first table basis feasible at the top, with its B^-1 b, else solve's.
+        for known in self._bases.values():
+            values = _basic_values(known, rhs)
+            if min(values) >= 0:
+                entry = known
+                break
+        else:
             solution = solve(replace(self._program, rhs=tuple(Fraction(b, den) for b in rhs)))
             if solution.status != OPTIMAL:
                 raise RuntimeError(f"cannot sweep a program that is {solution.status}")
             rows, dens, basis = solution._tableau
-            entry = self._enter([row[:-1] for row in rows], dens, basis)
+            entry = self._enter([row[:-1] for row in rows], dens, basis, k)
+            values = None
         # Row i's right-hand side over den_i * den, as _check_segment reads it.
         b = [bi * row.den for bi, row in zip(rhs, self._work)]
         segments: list[Segment] = []
         # A level is z with its distance t - z from the top as (p, q) = p / q.
         high = (Fraction(rhs[k], den), 0, 1)
         while True:
-            values = _basic_values(entry, rhs)
-            column = [row[k] for row in entry.inverse]  # row k's slack
+            if values is None:
+                values = _basic_values(entry, rhs)
+            along = entry.along.get(k) or self._along(entry, k)
+            column = along.column
             r = _ratio_test(entry.basis, values, column)
             # Row r's basic variable reaches 0 at t - z = values_r / (den * column_r).
             bottom = r < 0 or values[r] >= rhs[k] * column[r]
@@ -393,25 +435,26 @@ class BasisTable:
                 q = den * column[r]
                 low = (Fraction(rhs[k] * column[r] - values[r], q), values[r], q)
             if low[1] * high[2] > high[1] * low[2]:
-                segment, ends = _segment(entry, rhs, den, values, n, k, low, high)
-                _check_segment(self._work, self._cost, self._cost_den, k, b, den,
-                               segment, entry, ends)
+                segment, top = _segment(entry, along, rhs, den, values, n, k, low, high[0])
+                _check_segment(self._work, self._cost, self._cost_den, b, den, k,
+                               segment, entry, along, top)
                 segments.append(segment)
                 high = low
             if bottom:
                 break
             following = entry.edges.get(r)
             if following is None:
-                following = entry.edges[r] = self._edge(entry, r, low[0])
-            entry = following
+                following = entry.edges[r] = self._edge(entry, r, low[0], k)
+            entry, values = following, None
         if segments[0].slope != 0:
             raise RuntimeError("the swept row is not slack at the top")
         segments.reverse()
         return segments
 
-    def _edge(self, entry: _Basis, r: int, lo: Fraction) -> _Basis:
-        """The basis that row ``r``'s dual ratio test reaches from ``entry``:
-        the least column with the least |red_j / a_j| over a_j < 0 enters."""
+    def _edge(self, entry: _Basis, r: int, lo: Fraction, k: int) -> _Basis:
+        """The basis that row ``r``'s dual ratio test reaches from ``entry``
+        on a sweep of row ``k``: the least column with the least
+        |red_j / a_j| over a_j < 0 enters."""
         prow, red = entry.rows[r], entry.red
         col = -1
         best_d = best_a = 0
@@ -426,12 +469,12 @@ class BasisTable:
         basis = list(entry.basis)
         _pivot(rows, dens, basis, r, col)
         known = self._bases.get(tuple(sorted(basis)))
-        return known if known is not None else self._enter(rows, dens, basis)
+        return known if known is not None else self._enter(rows, dens, basis, k)
 
-    def _enter(self, rows, dens, basis) -> _Basis:
+    def _enter(self, rows, dens, basis, k) -> _Basis:
         """Add the basis of a tableau (reduced costs last, no right-hand
         side column) to the table once its dual is checked feasible, with
-        what every sweep reads of it."""
+        what every sweep reads of it and what a sweep of row ``k`` does."""
         n = self._program.n_vars
         entry = _read_basis(rows, dens, basis, n)
         weights, scale = _check_dual(self._work, self._cost, self._cost_den, entry.y, entry.y_den)
@@ -441,8 +484,30 @@ class BasisTable:
             inverse=[row[n:] for row in entry.rows],
             basic=[(r, col, common // entry.dens[r]) for r, col in basic],
             common=common, weights=weights, scale=scale)
+        self._along(entry, k)
         self._bases[tuple(sorted(entry.basis))] = entry
         return entry
+
+    def _along(self, entry: _Basis, k: int) -> _Along:
+        """Cache on ``entry`` what a sweep of row ``k`` reads of it, once the
+        direction is checked against the standard-form rows and the
+        objective: c.d = y_k, and g_i = 0 wherever y_i is not 0, so strong
+        duality and complementary slackness hold along the whole basis
+        wherever they hold at x_top.  A failure is a solver bug."""
+        work, common = self._work, entry.common
+        y, y_den = entry.y, entry.y_den
+        column = [row[k] for row in entry.inverse]
+        direction = [0] * self._program.n_vars
+        for r, col, factor in entry.basic:
+            direction[col] = column[r] * factor
+        residual = [sum(map(mul, row.structural, direction)) for row in work]
+        residual[k] -= common * work[k].den
+        if sum(map(mul, self._cost, direction)) * y_den != y[k] * self._cost_den * common:
+            raise RuntimeError("strong duality failed along the basis: c.d is not y_k")
+        if any(yi and g for yi, g in zip(y, residual)):
+            raise RuntimeError("complementary slackness violated along the basis")
+        along = entry.along[k] = _Along(column, direction, residual, Fraction(y[k], y_den))
+        return along
 
 
 def _read_basis(rows, dens, basis, n) -> _Basis:
@@ -451,7 +516,7 @@ def _read_basis(rows, dens, basis, n) -> _Basis:
     m = len(basis)
     red = rows[m]
     return _Basis(tuple(basis), rows[:m], dens[:m], red,
-                  [-red[n + i] for i in range(m)], dens[m], {})
+                  [-red[n + i] for i in range(m)], dens[m], {}, {})
 
 
 def _basic_values(entry: _Basis, rhs: Sequence[int]) -> list[int]:
@@ -460,44 +525,62 @@ def _basic_values(entry: _Basis, rhs: Sequence[int]) -> list[int]:
     return [sum(map(mul, row, rhs)) for row in entry.inverse]
 
 
-def _segment(entry: _Basis, rhs, den, values, n, k, low, high):
-    """Read the segment between two levels (z, p, q), with t - z = p / q
-    for the top t, off a basis's table entry, with the primal at each end
-    in integers as (numerators, den).  ``values`` is B^-1 b at the top, as
-    ``_basic_values`` gives it."""
-    inverse = entry.inverse
-    ends = []
-    for _, p, q in (low, high):
-        # Row r's basic variable is values_r / (dens_r den) - (p / q) beta_r / dens_r.
-        xs = [0] * n
-        for r, col, factor in entry.basic:
-            xs[col] = (values[r] * q - p * den * inverse[r][k]) * factor
-        ends.append((xs, entry.common * den * q))
-    y, y_den = entry.y, entry.y_den
+def _segment(entry: _Basis, along: _Along, rhs, den, values, n, k, low, hi):
+    """Read the segment from a level (z, p, q), with t - z = p / q for the
+    top t, up to ``hi`` off a basis's table entry, with the basis's primal
+    x_top at the top as numerators over ``entry.common * den``.  ``values``
+    is B^-1 b at the top, as ``_basic_values`` gives it."""
+    top = [0] * n
+    for r, col, factor in entry.basic:
+        top[col] = values[r] * factor
+    y = entry.y
     _, p, q = low
-    value = Fraction(sum(map(mul, y, rhs)) * q - y[k] * p * den, y_den * den * q)
-    return Segment(low[0], high[0], value, Fraction(y[k], y_den)), ends
+    value = Fraction(sum(map(mul, y, rhs)) * q - y[k] * p * den, entry.y_den * den * q)
+    return Segment(low[0], hi, value, along.slope), top
 
 
-def _check_segment(work, cost, cost_den, k, b, b_den, segment, entry, ends) -> None:
-    """Certify a segment at both of its ends against the standard-form rows,
-    with the entry's dual, whose feasibility was checked on entry, and the
-    weights read then; row i's right-hand side is ``b[i] / (den_i * b_den)``
-    except on the swept row.  The value at lo is checked against the primal;
-    the value at hi then follows, since b moves only on row k, whose dual is
-    the checked slope."""
-    y, y_den = entry.y, entry.y_den
+def _check_segment(work, cost, cost_den, b, b_den, k, segment, entry, along, top) -> None:
+    """Certify a segment against the standard-form rows with the entry's
+    dual, whose feasibility was checked on entry, the weights read then and
+    the direction ``along`` caches; row i's right-hand side at the top t is
+    ``b[i] / (den_i * b_den)``, and ``top`` is x_top over
+    ``entry.common * b_den``.
+
+    x_top is checked in full: its residual A x_top - b and c.x_top = y.b.
+    Each end z of the segment, at depth s = t - z, is reached by the exact
+    updates x_top - s d and A x_top - b - s g, and checked there: x >= 0,
+    A x <= b and complementary slackness.  With c.d = y_k, strong duality
+    then holds at both ends.  The value is c.x at lo, and the slope y_k."""
+    y, y_den, common = entry.y, entry.y_den, entry.common
     slope = segment.slope
     if slope.numerator * y_den != y[k] * slope.denominator:
         raise RuntimeError("segment slope is not the swept row's dual")
-    points = []
-    for z, (xs, x_den) in zip((segment.lo, segment.hi), ends):
-        zn, zd = z.numerator, z.denominator
-        bz = [bi * zd for bi in b]
-        bz[k] = zn * b_den * work[k].den
-        points.append((bz, b_den * zd, xs, x_den))
-    _check_points(work, cost, cost_den, y, entry.weights, entry.scale, points)
-    _check_value(segment.value, cost, cost_den, *ends[0])
+    # Row i's residual over den_i * common * b_den; c.x_top over cost_den * common * b_den.
+    residual = [sum(map(mul, row.structural, top)) - common * bi for row, bi in zip(work, b)]
+    value_top = sum(map(mul, cost, top))
+    if value_top * entry.scale != sum(map(mul, entry.weights, b)) * cost_den * common:
+        raise RuntimeError("strong duality failed")
+    direction, slopes = along.direction, along.residual
+    # At z, s = p / (b_den q): x is (q x_top - p d) / q over top's
+    # denominator, and the residual (q r - p g) / q over r's.
+    den_k = work[k].den
+    ends = [(z, z.denominator * den_k, b[k] * z.denominator - z.numerator * b_den * den_k)
+            for z in (segment.lo, segment.hi)]
+    # c.x at lo is (q c.x_top - p c.d) over cost_den * common * b_den * q.
+    _, q, p = ends[0]
+    value = segment.value
+    if ((q * value_top - p * sum(map(mul, cost, direction))) * value.denominator
+            != value.numerator * cost_den * common * b_den * q):
+        raise RuntimeError("primal objective differs from the reported value")
+    for z, q, p in ends:
+        if any(x * q < p * d for x, d in zip(top, direction)):
+            raise RuntimeError(f"negative primal entry at z = {z}")
+        for i, (r, g, yi) in enumerate(zip(residual, slopes, y)):
+            gap = r * q - p * g
+            if gap > 0:
+                raise RuntimeError(f"infeasible primal (row {i}) at z = {z}")
+            if yi and gap:
+                raise RuntimeError(f"complementary slackness violated on row {i} at z = {z}")
 
 
 def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -23,7 +23,8 @@ depends only on its own claim and the multiset of all claims, so each
 multiset is rationed once and a claimant's row that repeats an earlier
 multiset is already decided.  None of (a)-(c) assumes claims monotonicity.
 Both checks refuse more than ``DEFAULT_CELL_LIMIT`` payoff cells before
-they ration anything, and replay any counterexample before returning it.
+they ration anything, and replay any counterexample before returning it; a
+config whose grids are bound to exceed it is refused before any demand LP.
 
 A ``MechanismConfig`` holds its economy and derives the true demands from
 it, so constructing one vets it once; the checks only confirm that they are
@@ -58,7 +59,10 @@ class MechanismConfig:
 
     Construction vets the config once, also under ``python -O``: it refuses
     an unknown rule, a grid count other than the firm count and a negative
-    level, whose award the skip rules cannot judge.  It sets ``true_demands``
+    level, whose award the skip rules cannot judge.  Before it derives any
+    demand it refuses grids whose payoff cells are bound to exceed
+    ``DEFAULT_CELL_LIMIT``, counting each grid's distinct levels, or 2 for
+    a default grid (``GridSizeError``).  It sets ``true_demands``
     to the firms' optimal demands and adds each to its firm's grid, which is
     read once and kept sorted without repeats.  ``grids`` None stands for a
     small default per firm including the truthful rationing water level.
@@ -72,13 +76,19 @@ class MechanismConfig:
     def __post_init__(self):
         sit = self.situation
         object.__setattr__(self, "rule", bankruptcy.check_rule(self.rule))
+        if self.grids is None:
+            least = [2] * sit.n_firms  # every default grid holds 0 and the cap
+        else:
+            given = [tuple(map(as_fraction, g)) for g in self.grids]
+            if len(given) != sit.n_firms:
+                raise ValueError(f"{len(given)} report grids for {sit.n_firms} firms")
+            if any(v < 0 for g in given for v in g):
+                raise ValueError("report levels must be nonnegative")
+            # A grid keeps its distinct levels and gains at most its demand.
+            least = [max(len(set(g)), 1) for g in given]
+        _check_cells(sit.n_firms, least)  # before any demand is derived
         demands = tuple(optimal_demand(sit, [i + 1]) for i in range(sit.n_firms))
-        grids = (_default_grids(sit, demands) if self.grids is None
-                 else [tuple(map(as_fraction, g)) for g in self.grids])
-        if len(grids) != sit.n_firms:
-            raise ValueError(f"{len(grids)} report grids for {sit.n_firms} firms")
-        if any(v < 0 for g in grids for v in g):
-            raise ValueError("report levels must be nonnegative")
+        grids = _default_grids(sit, demands) if self.grids is None else given
         object.__setattr__(self, "true_demands", demands)
         object.__setattr__(self, "grids", tuple(
             tuple(sorted({*g, d})) for g, d in zip(grids, demands)))
@@ -141,6 +151,18 @@ class Deviation:
     deviant_payoff: Fraction
 
 
+def _check_cells(k: int, sizes: Sequence[int]) -> None:
+    """Refuse (``GridSizeError``) more than ``DEFAULT_CELL_LIMIT`` cells,
+    ``k`` times the product of ``sizes``, all of them at least 1."""
+    cells = k
+    for size in sizes:
+        cells *= size
+        if cells > DEFAULT_CELL_LIMIT:
+            raise GridSizeError(  # the count itself can be too long to print
+                f"{k} claimants times the grid product is more than "
+                f"{DEFAULT_CELL_LIMIT} payoff cells")
+
+
 def _walk(cfg: MechanismConfig, grids: Sequence[Sequence[Fraction]],
           refs: Sequence[int], choices: Sequence[Sequence[int]]
           ) -> tuple[int, Optional[Deviation]]:
@@ -170,11 +192,7 @@ def _walk(cfg: MechanismConfig, grids: Sequence[Sequence[Fraction]],
     sit = cfg.situation
     k = cfg.claimants
     sizes = [len(g) for g in grids]
-    cells = k * math.prod(sizes)
-    if cells > DEFAULT_CELL_LIMIT:
-        raise GridSizeError(  # the count itself can be too long to print
-            f"{k} claimants times the grid product is more than "
-            f"{DEFAULT_CELL_LIMIT} payoff cells")
+    _check_cells(k, sizes)
     scale = math.lcm(sit.cap.denominator, *(v.denominator for g in grids for v in g))
     cap = sit.cap.numerator * (scale // sit.cap.denominator)
     units = [tuple(v.numerator * (scale // v.denominator) for v in g) for g in grids]

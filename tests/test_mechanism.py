@@ -468,14 +468,29 @@ def test_equilibrium_check_rations_each_claim_multiset_once(monkeypatch, example
 
 
 def test_grid_limit_enforced(monkeypatch, example3):
+    # 43 half-integer levels pass the config's bound, 3 * 43**3 cells; each
+    # grid then gains its integer demand, and 3 * 44**3 cells are too many.
     allocations, valuations = _count_work(monkeypatch)
-    cfg = make_config(example3, "cea", grid=list(range(0, 64)))
+    cfg = make_config(example3, "cea", grid=[F(2 * i + 1, 2) for i in range(43)])
+    assert 3 * 43 ** 3 <= mechanism.DEFAULT_CELL_LIMIT
     assert 3 * math.prod(len(g) for g in cfg.grids) > mechanism.DEFAULT_CELL_LIMIT
     with pytest.raises(GridSizeError):
         dominance_check(example3, cfg)
     with pytest.raises(GridSizeError):
         equilibrium_check(example3, cfg, cfg.truthful_profile)
     assert allocations == [] and not valuations
+
+
+def test_a_grid_bound_to_exceed_the_limit_is_refused_before_any_demand(monkeypatch, example3):
+    # 64 distinct levels give 3 * 64**3 cells whatever the demands add, and
+    # without explicit grids every firm has at least 0 and the cap.
+    monkeypatch.setattr(mechanism, "optimal_demand", lambda *args: pytest.fail("demand"))
+    with pytest.raises(GridSizeError, match="3 claimants times the grid product"):
+        make_config(example3, "cea", grid=list(range(64)))
+    fifteen = Situation.create(production=[[1, 2], [1, 1]], endowments=[[1] * 15],
+                               prices=[9, 11], tax=2, cap=3)
+    with pytest.raises(GridSizeError, match="15 claimants times the grid product"):
+        make_config(fifteen, "cea")
 
 
 def _halving_cea(cap, claims):

@@ -358,17 +358,20 @@ _REAL_SWEEP = lp.BasisTable.sweep
 _REAL_ENTER = lp.BasisTable._enter
 
 
-def _wrong_slope(segment, ends):
-    return segment._replace(slope=segment.slope + 1), ends
+# Each takes and returns what ``lp._segment`` returns: the segment and its
+# basis's primal at the top of the sweep.
 
 
-def _wrong_value(segment, ends):
-    return segment._replace(value=segment.value + 1), ends
+def _wrong_slope(segment, top):
+    return segment._replace(slope=segment.slope + 1), top
 
 
-def _wrong_primal(segment, ends):
-    low, (xs, den) = ends
-    return segment, (low, ([xs[0] + 1, *xs[1:]], den))
+def _wrong_value(segment, top):
+    return segment._replace(value=segment.value + 1), top
+
+
+def _wrong_primal(segment, top):
+    return segment, [top[0] + 1, *top[1:]]
 
 
 CORRUPTIONS = [_wrong_slope, _wrong_value, _wrong_primal]
@@ -428,8 +431,27 @@ def _raise_inverse(entry):
         row[0] += 1
 
 
-# Corruptions of what a table entry caches after its dual check.
-CACHED_CORRUPTIONS = [_raise_weights, _raise_factors, _raise_inverse]
+def _raise_direction(entry):
+    for along in entry.along.values():
+        along.direction[0] += 1
+
+
+def _raise_residual_slope(entry):
+    # On a row with a nonzero dual, which must stay tight along the basis.
+    row = next(i for i, yi in enumerate(entry.y) if yi)
+    for along in entry.along.values():
+        along.residual[row] += 1
+
+
+def _raise_objective_slope(entry):
+    for k, along in entry.along.items():
+        entry.along[k] = along._replace(slope=along.slope + 1)
+
+
+# Corruptions of what a table entry caches after its dual check, the last
+# three of what it caches for the swept row.
+CACHED_CORRUPTIONS = [_raise_weights, _raise_factors, _raise_inverse,
+                      _raise_direction, _raise_residual_slope, _raise_objective_slope]
 
 
 def _corrupt_cached(patch, corrupt):
@@ -492,8 +514,76 @@ print("optimize", sys.flags.optimize)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[-1] == "optimize 1"
-    assert len(lines) == 4 and all(line.startswith("raised") for line in lines[:3])
+    raised = len(CACHED_CORRUPTIONS)
+    assert len(lines) == raised + 1 and all(line.startswith("raised") for line in lines[:raised])
     assert "strong duality failed" in lines[0]
+
+
+def test_a_segment_raised_past_its_basis_is_refused_at_its_hi_end(monkeypatch):
+    # Above its upper end a segment's basis is infeasible, so a raised hi
+    # leaves the lo end as it was and breaks only the far end.
+    raised = []
+
+    def raise_hi(segment, top):
+        raised.append(segment.hi + 1)
+        return segment._replace(hi=raised[-1]), top
+
+    for on_hit in (False, True):
+        with monkeypatch.context() as patch:
+            _corrupt_segments(patch.setattr, raise_hi, on_hit)
+            with pytest.raises(RuntimeError) as refused:
+                _demands_in_lex_order(_reference_economy())
+        assert str(refused.value).endswith(f" at z = {raised[-1]}")
+
+
+def _reference_check_segment(sit, members, segment, entry, k):
+    """The full per-endpoint certificate of a swept segment, in Fractions
+    against the revenue program of ``members``, as the oracle for the
+    sweep's affine updates: the primal of the segment's basis at each end
+    z, read off the tableau, is nonnegative and feasible and meets the dual
+    in complementary slackness and strong duality; the dual is feasible,
+    the slope is row k's dual and the value is c.x at lo."""
+    rows, prices = sit.production, sit.prices
+    y = [F(yi, entry.y_den) for yi in entry.y]
+    assert segment.slope == y[k]
+    assert all(yi >= 0 for yi in y)
+    assert all(sum(yi * row[j] for yi, row in zip(y, rows)) >= c for j, c in enumerate(prices))
+    stocks = sit.coalition_endowment(members)
+    for z in (segment.lo, segment.hi):
+        b = [*stocks, z]
+        x = [F(0)] * sit.n_goods
+        for r, col in enumerate(entry.basis):
+            if col < sit.n_goods:
+                x[col] = sum(a * bi for a, bi in zip(entry.inverse[r], b)) / entry.dens[r]
+        assert all(v >= 0 for v in x)
+        for row, bi, yi in zip(rows, b, y):
+            used = sum(a * v for a, v in zip(row, x))
+            assert used <= bi and (yi == 0 or used == bi)
+        value = sum(c * v for c, v in zip(prices, x))
+        assert value == sum(yi * bi for yi, bi in zip(y, b))
+        if z == segment.lo:
+            assert segment.value == value
+
+
+def test_every_swept_segment_passes_the_per_endpoint_reference_check(monkeypatch):
+    checked = []
+    real = lp._check_segment
+
+    def check_segment(work, cost, cost_den, b, b_den, k, segment, entry, along, top):
+        real(work, cost, cost_den, b, b_den, k, segment, entry, along, top)
+        checked.append((segment, entry, k))
+
+    monkeypatch.setattr(lp, "_check_segment", check_segment)
+    count = 0
+    for sit in _sweep_economies():
+        for fs in lex_coalitions(sit.firms()):
+            checked.clear()
+            curve = production._curve(sit, fs)
+            assert [segment for segment, _, _ in reversed(checked)] == curve
+            for segment, entry, k in checked:
+                _reference_check_segment(sit, fs, segment, entry, k)
+                count += 1
+    assert count > 1000
 
 
 def _example3_demands_exit_three(capsys):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from permit_games import bankruptcy, cli
+from permit_games import bankruptcy, cli, lp, mechanism
 from permit_games.reference import bundled_scenario
 from permit_games.report import decimal_str
 from permit_games.scenario import (
@@ -192,10 +192,14 @@ def test_a_partition_limit_below_one_is_refused(tmp_path, capsys, command):
     assert (code, out, err) == (2, "", "error: --partition-limit must be positive\n")
 
 
-def test_mechanism_refuses_too_many_payoff_cells(tmp_path, capsys):
+def test_mechanism_refuses_too_many_payoff_cells(tmp_path, capsys, monkeypatch):
     # 7000 claimants on a two-level grid are 7000 * 2**7000 cells, a count
-    # too long to print, so the refusal states the bound instead.
+    # too long to print, so the refusal states the bound instead.  The grid
+    # sizes alone decide it, so no demand LP runs first.
     path = write_scenario(tmp_path, _uniform_firms(7000))
+    monkeypatch.setattr(mechanism, "optimal_demand", lambda *args: pytest.fail("demand"))
+    monkeypatch.setattr(lp.BasisTable, "sweep", lambda *args: pytest.fail("sweep"))
+    monkeypatch.setattr(lp, "solve", lambda *args: pytest.fail("solve"))
     code, out, err = run_cli(capsys, "mechanism", "--scenario", str(path), "--grid", "0,1")
     assert (code, out) == (2, "")
     assert err == ("error: 7000 claimants times the grid product is more than "
