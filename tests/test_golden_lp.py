@@ -1,13 +1,14 @@
 """Byte-for-byte replay of recorded exact LP solutions.
 
-``golden_lp.json`` holds about 170 seeded programs and, for each, the
+``golden_lp.json`` holds 175 seeded programs and, for each, the
 status, objective value, primal and dual the solver returned, every number
 written as a ``p/q`` string.  The programs are random bounded programs,
 programs with degenerate right-hand sides, with free variables, with finite
 lower and upper bounds, with a redundant ``=`` row (its artificial stays
 basic), and the core programs of seeded four- and five-firm derived games,
-recorded with one free variable per player.  Any change to the pivot
-sequence that moves a vertex or a dual shows here.
+recorded with one free variable per player.  At six and seven firms it holds
+the core programs that no partition decides, of one seeded economy each.
+Any change to the pivot sequence that moves a vertex or a dual shows here.
 
 ``lp.solve`` takes only x >= 0 programs, so the replay rewrites a recorded
 program with free or bounded variables before it solves: a free variable
@@ -240,7 +241,7 @@ def _programs():
     """(name, recorded program) pairs, seeded; only called when recording."""
     import support
     from permit_games import stability
-    from permit_games.bankruptcy import RULES
+    from permit_games.bankruptcy import CEA, RULES
     from permit_games.partition_games import (
         MINUS, PLUS, build_game, optimistic_game, pessimistic_game, resource_game)
 
@@ -317,6 +318,19 @@ def _programs():
         while lp.GE not in _artificial_entries(program) or lp.solve(program).status != lp.OPTIMAL:
             program = _draw_mixed(rng)
         yield f"reentry-{k}", _rebuild(program)
+
+    # The core programs that a partition cannot decide, at six and seven firms.
+    rng = random.Random(9)
+    for n_firms in (6, 7):
+        sit = None
+        while sit is None:
+            sit = support.scarce_situation(rng, n_firms=n_firms)
+        game = build_game(sit, CEA)
+        for title, derived in (("pessimistic", pessimistic_game(game)),
+                               ("resource-minus", resource_game(game, MINUS))):
+            assert stability._over_claiming_partition(derived) is None
+            _, program = stability._core_program(derived)
+            yield f"core-n{n_firms}-{title}", _free_form(program)
 
 
 def _record() -> list:
