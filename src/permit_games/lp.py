@@ -9,36 +9,43 @@ solver terminates under degeneracy and is deterministic for identical input.
 There is no floating point anywhere, which keeps downstream argmin/argmax
 sets and core verdicts well defined.
 
-Programs and solutions are ``fractions.Fraction`` at the interface.  Inside,
-each tableau row, and the row of reduced costs, is a list of Python ``int``
-numerators over one positive per-row denominator, kept in lowest terms by a
-gcd after every update (integer-preserving elimination in the spirit of
-Edmonds 1967 and Bareiss 1968).  A pivot touches only the nonzero columns of
-the pivot row unless a row's denominator must grow.
+Programs and solutions are ``fractions.Fraction`` at the interface.  The
+columns are numbered structural | slack/surplus | artificial, one
+artificial per row that is not ``<=``.  Inside is the condensed tableau
+(Tucker's; the dictionary of Chvátal 1983): row i holds B^-1 [A | b] only
+at the nonbasic columns, one slot per nonbasic variable, labelled by the
+column number it stores, then the right-hand side.  Each row, and the row
+of reduced costs, is a list of Python ``int`` numerators over one positive
+per-row denominator, kept in lowest terms by a gcd after every update
+(integer-preserving elimination in the spirit of Edmonds 1967 and Bareiss
+1968).  A pivot on (row r, slot q) is an exchange: the leaving variable
+takes slot q, row r's entry there set to its own denominator and every
+other row's to 0, and each row is then reduced as in the full tableau,
+where only the nonzero slots of the pivot row change unless a row's
+denominator must grow.
+
+A ``>=`` row starts with -1 in its surplus column and +1 in its artificial
+one and every pivot acts on columns linearly, so the artificial is the
+negated surplus in every row.  When both are nonbasic only the surplus is
+stored, and the artificial's phase-1 reduced cost is ``-D - red_q`` (cost
+-1, numerators over the reduced costs' denominator D).  When one is basic
+the other is the negated unit column of its row, with phase-1 reduced cost
+-D, so it never enters and is not stored; a leaving artificial hands its
+slot to its surplus.  So there are as many slots as declared variables.
+Each phase prices its starting basis out over one common denominator,
+since a basic cost is not a stored entry.  After phase 1 each zero-valued
+basic artificial is pivoted out on the least label below the first
+artificial with a nonzero entry in its row, a ``>=`` row's own surplus
+included; only a redundant ``=`` row has none and keeps its artificial,
+which no phase-2 pivot or tie-break reads.
 
 The representation changes no decision.  An entry's sign is its numerator's
-sign, so the entering column is Bland's first column with a positive reduced
-cost.  The ratio test compares rhs_i / a_i by cross-multiplication, in which
-the row denominators cancel, and breaks ties toward the smaller basic column
-index.  Every decision therefore compares the same rationals as arithmetic
-on Fractions would, and the pivot sequence, the final basis, the primal and
-the dual are the same rationals.
-
-Phase 1 gives every row that is not ``<=`` an artificial column, but only
-the ``=`` rows' artificials are stored.  A ``>=`` row starts with -1 in its
-surplus column and +1 in its artificial one and every pivot acts on columns
-linearly, so in every tableau row the artificial column of ``>=`` row i is
-``-row[sur_i]``.  Its reduced cost is ``-D - red[sur_i]`` in phase 1 (cost
--1, numerators over the reduced costs' denominator D) and ``-red[sur_i]``
-in phase 2, so that row's dual is ``y_i = red[sur_i]``.  Each omitted entry
-is a combination of stored ones, so no row's gcd changes.  The artificials
-keep their column numbers (structural | slack/surplus | artificial), which
-the basis holds, so Bland's scan and the ratio test's tie-break see what
-they would see with every column stored.  An implicit artificial that
-re-enters in phase 1 is pivoted on through its entries as read from the
-surplus column, and every row's update is the one the stored column would
-give.  A basic implicit artificial has a nonzero surplus entry, so it
-always leaves the basis before phase 2.
+sign, so Bland's rule enters the least label with a positive reduced cost
+and, in phase 1, then the least artificial.  The ratio test compares
+rhs_i / a_i by cross-multiplication, in which the row denominators cancel,
+and breaks ties toward the smaller basic column number.  Every decision
+compares the same rationals as Fractions with every column stored would,
+so the pivot sequence, the final basis, the primal and the dual are too.
 
 Every optimum is certified before it is returned: primal feasibility,
 complementary slackness, strong duality and dual feasibility, the last
@@ -179,11 +186,8 @@ class LpSolution:
     for a maximization a <=-row has a nonnegative multiplier and a >=-row a
     nonpositive one.  At an optimum the pair (primal, dual) satisfies
     complementary slackness exactly.  At an optimum, ``_tableau`` holds the
-    solver's final state for a ``BasisTable`` to take in: the tableau rows
-    with the reduced costs last, their denominators and the basis.  Its
-    rows hold only the stored columns, which lack the ``>=`` rows'
-    artificials (see ``solve``); a program without ``>=`` rows, the only
-    kind a ``BasisTable`` solves, stores every column at its number.
+    solver's final condensed ``_Tableau``, with the reduced costs last, for
+    a ``BasisTable`` to take in through ``_expanded``.
     """
 
     status: str
@@ -214,16 +218,26 @@ def _std_row(coeffs: Sequence[Fraction], rhs: Fraction, sense: str) -> _StdRow:
     return _StdRow(nums, sense, b, den, 1)
 
 
+class _Tableau(NamedTuple):
+    """The constraint rows, then the reduced costs, each with one slot per
+    nonbasic variable and the right-hand side, over ``dens``; the column
+    number basic in each row and stored in each slot; and each ``>=`` row's
+    surplus and artificial mapped to each other."""
+
+    rows: list[list[int]]
+    dens: list[int]
+    basis: list[int]
+    labels: list[int]
+    first_art: int
+    partner: dict[int, int]
+
+
 def solve(lp: LinearProgram) -> LpSolution:
     """Solve ``lp`` exactly; returns status optimal/infeasible/unbounded."""
     n = lp.n_vars
     m = lp.n_rows
     work = [_std_row(*row) for row in zip(lp.rows, lp.rhs, lp.senses)]
 
-    # Columns are numbered structural | slack/surplus | artificial, with one
-    # artificial per row that is not <=, and the basis holds these numbers.
-    # Stored: structural | slack/surplus | the = rows' artificials, then rhs;
-    # a >= row's artificial is its negated surplus (module docstring).
     slack_col: list[int] = [-1] * m
     next_col = n
     for i in range(m):
@@ -231,72 +245,57 @@ def solve(lp: LinearProgram) -> LpSolution:
             slack_col[i] = next_col
             next_col += 1
     first_art = next_col  # artificials are numbered last and never enter in phase 2
-    unit_col = list(slack_col)  # stored column that exposes B^-1, negated on a >= row
-    arts: list[tuple[int, bool]] = []  # (stored column, implicit) per artificial
-    basis = [0] * m
-    width = first_art
+    unit_col = list(slack_col)  # the column whose reduced cost gives row i's dual
+    basis = list(slack_col)
+    partner: dict[int, int] = {}
     for i, row in enumerate(work):
-        if row.sense == LE:
-            basis[i] = slack_col[i]
-            continue
-        basis[i] = first_art + len(arts)
-        if row.sense == EQ:
-            unit_col[i] = width
-            width += 1
-        arts.append((unit_col[i], row.sense == GE))
-
-    # Row i of the tableau is rows[i] / dens[i]; a row from _integer_row is
-    # in lowest terms, and the slack and unit entries (+-1) keep it so.
-    rows: list[list[int]] = []
-    dens: list[int] = []
-    for i, (structural, sense, b, den, _) in enumerate(work):
-        row = structural + [0] * (width - n) + [b]
-        row[unit_col[i]] = -den if sense == GE else den
-        rows.append(row)
-        dens.append(den)
+        if row.sense != LE:
+            basis[i] = next_col
+            if row.sense == EQ:
+                unit_col[i] = next_col
+            else:
+                partner[next_col], partner[slack_col[i]] = slack_col[i], next_col
+            next_col += 1
+    # The structural columns start nonbasic, and a row from _integer_row is
+    # in lowest terms; each phase prices out the reduced costs, last.
+    t = _Tableau([row.structural + [row.rhs] for row in work] + [[0] * (n + 1)],
+                 [row.den for row in work] + [1], basis, list(range(n)), first_art, partner)
+    rows, dens = t.rows, t.dens
 
     obj, obj_den = _integer_row(lp.objective)
 
-    if arts:
-        phase1 = [0] * first_art + [-1] * (width - first_art)
-        if _run_simplex(rows, dens, basis, phase1, 1, first_art, arts) is None:
+    if next_col > first_art:
+        if not _run_simplex(t, [0] * first_art + [-1] * (next_col - first_art), 1, True):
             raise RuntimeError("phase-1 objective cannot be unbounded")
-        if any(rows[i][width] for i in range(m) if basis[i] >= first_art):
+        if any(rows[i][n] for i in range(m) if basis[i] >= first_art):
             return LpSolution(status=INFEASIBLE)
-        _drive_out_artificials(rows, dens, basis, first_art)
-        # Only a redundant = row keeps its artificial, with no entry below
-        # first_art, so no phase-2 pivot or tie-break reads it; from here on
-        # the basis names it by its stored column.
-        for i in range(m):
-            if basis[i] >= first_art:
-                basis[i] = arts[basis[i] - first_art][0]
+        _drive_out(t)
 
-    reduced = _run_simplex(rows, dens, basis, obj + [0] * (width - n), obj_den, first_art)
-    if reduced is None:
+    if not _run_simplex(t, obj + [0] * (next_col - n), obj_den, False):
         return LpSolution(status=UNBOUNDED)
-    red, red_den = reduced
+    red, red_den = rows[m], dens[m]
 
     primal = [ZERO] * n
     for i in range(m):
         if basis[i] < n:
-            primal[basis[i]] = Fraction(rows[i][width], dens[i])
+            primal[basis[i]] = Fraction(rows[i][n], dens[i])
     objective_value = sum(
         (cj * xj for cj, xj in zip(lp.objective, primal)), ZERO)
 
     # y = c_B B^-1.  A unit column costs nothing in phase 2, so its reduced
-    # cost is -y_i, and a >= row's is -red[sur_i]; a flipped row reports -y_i.
-    y = [red[col] if row.sense == GE else -red[col]  # numerators over red_den
+    # cost is -y_i, 0 when it is basic, and a >= row's is -red[sur_i]; a
+    # flipped row reports -y_i.
+    reduced = dict(zip(t.labels, red))
+    y = [reduced.get(col, 0) * (1 if row.sense == GE else -1)  # numerators over red_den
          for row, col in zip(work, unit_col)]
     dual = tuple(Fraction(row.flip * yi, red_den) for row, yi in zip(work, y))
 
-    rows.append(red)
-    dens.append(red_den)
     solution = LpSolution(
         status=OPTIMAL,
         objective_value=objective_value,
         primal=tuple(primal),
         dual=dual,
-        _tableau=(rows, dens, basis),
+        _tableau=t,
     )
     xs, x_den = _integer_row(solution.primal)
     weights, scale = _check_dual(work, obj, obj_den, y, red_den)
@@ -304,6 +303,21 @@ def solve(lp: LinearProgram) -> LpSolution:
                   [([row.rhs for row in work], 1, xs, x_den)])
     _check_value(objective_value, obj, obj_den, xs, x_den)
     return solution
+
+
+def _expanded(t: _Tableau) -> list[list[int]]:
+    """The full rows B^-1 [A | I] of a program of ``<=`` rows, whose columns
+    are the structural and slack ones, with the reduced costs last and no
+    right-hand side."""
+    full = []
+    for stored in t.rows:
+        row = [0] * t.first_art
+        for label, a in zip(t.labels, stored):
+            row[label] = a
+        full.append(row)
+    for row, col, den in zip(full, t.basis, t.dens):
+        row[col] = den
+    return full
 
 
 class Segment(NamedTuple):
@@ -413,8 +427,8 @@ class BasisTable:
             solution = solve(replace(self._program, rhs=tuple(Fraction(b, den) for b in rhs)))
             if solution.status != OPTIMAL:
                 raise RuntimeError(f"cannot sweep a program that is {solution.status}")
-            rows, dens, basis = solution._tableau
-            entry = self._enter([row[:-1] for row in rows], dens, basis, k)
+            t = solution._tableau
+            entry = self._enter(_expanded(t), t.dens, t.basis, k)
             values = None
         # Row i's right-hand side over den_i * den, as _check_segment reads it.
         b = [bi * row.den for bi, row in zip(rhs, self._work)]
@@ -589,89 +603,95 @@ def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _drive_out_artificials(rows, dens, basis, first_art) -> None:
-    """Pivot zero-valued basic artificials out so they stay out in phase 2.
+def _price_out(t: _Tableau, cost, cost_den) -> None:
+    """Set the reduced costs to ``cost`` - c_B B^-1 [A | b] at the slots and
+    the right-hand side, ``cost`` being numerators over ``cost_den`` per
+    column number.  A basic cost is not a stored entry, so the row is
+    computed over one common denominator and then reduced."""
+    rows, dens, basis = t.rows, t.dens, t.basis
+    priced = [i for i, col in enumerate(basis) if cost[col]]
+    common = lcm(*(dens[i] for i in priced))
+    red = [cost[label] * common for label in t.labels] + [0]
+    for i in priced:
+        factor = cost[basis[i]] * (common // dens[i])
+        red = [r - factor * a for r, a in zip(red, rows[i])]
+    g = gcd(cost_den * common, *red)
+    rows[-1] = [a // g for a in red]
+    dens[-1] = cost_den * common // g
 
-    A row whose non-artificial entries are all zero is redundant; its
-    artificial stays basic at zero and no later pivot can move it.  That
-    row is an = row's: a >= row's basic artificial is its negated surplus,
-    whose entry in the row is nonzero.
-    """
-    for i in range(len(basis)):
-        if basis[i] < first_art:
-            continue
-        row = rows[i]
-        for j in range(first_art):
-            if row[j]:
-                _pivot(rows, dens, basis, i, j)
-                break
 
-
-def _run_simplex(rows, dens, basis, cost, cost_den, n_enterable, arts=()):
-    """Pivot until optimal over the columns below ``n_enterable`` and then,
-    in phase 1, the artificials ``arts``.
-
-    ``cost`` holds integer numerators over ``cost_den``.  Returns the final
-    reduced costs as (numerators, denominator), or None when the objective
-    is unbounded.  While it runs, the reduced costs are one more row of
-    ``rows``, so every pivot updates them like any row.
-
-    Column number j is stored at j, except artificial k, which is number
-    n_enterable + k and has ``arts[k] = (col, implicit)``: it is stored at
-    col, or, when implicit, it is -1 times the surplus column col with
-    reduced cost -D - red[col] over the reduced costs' denominator D.
-    """
+def _run_simplex(t: _Tableau, cost, cost_den, phase1: bool) -> bool:
+    """Price the basis out for ``cost`` (``_price_out``) and pivot by
+    Bland's rule until optimal; False when the objective is unbounded.
+    The least label below ``first_art`` with a positive reduced cost
+    enters, and then, in phase 1, the least artificial: a stored one, or a
+    ``>=`` row's through its surplus's slot q with reduced cost
+    ``-D - red[q]``."""
+    rows, dens, basis, labels, first_art, partner = t
     m = len(basis)
-    rhs = len(cost)
-    red = [*cost, 0]
-    rows.append(red)
-    dens.append(cost_den)
-
-    def stored(j):
-        """Column number j's (stored column, implicit)."""
-        return (j, False) if j < n_enterable or not arts else arts[j - n_enterable]
-
-    def reduced(j):
-        col, implicit = stored(j)
-        return -dens[m] - red[col] if implicit else red[col]
-
-    def entries(j):
-        """Column number j's entries in every row, the reduced costs last."""
-        col, implicit = stored(j)
-        column = [row[col] for row in rows]
-        if implicit:
+    _price_out(t, cost, cost_den)
+    red = rows[m]
+    while True:
+        entering = q = -1
+        for j, label in enumerate(labels):
+            if label < first_art and red[j] > 0 and (q < 0 or label < entering):
+                entering, q = label, j
+        for j, label in enumerate(labels if phase1 and q < 0 else ()):
+            if label >= first_art:  # a stored artificial
+                art, improves = label, red[j] > 0
+            else:  # a >= row's, the negated surplus
+                art, improves = partner.get(label, -1), -dens[m] - red[j] > 0
+            if art >= 0 and improves and (q < 0 or art < entering):
+                entering, q = art, j
+        if q < 0:
+            return True
+        column = [row[q] for row in rows]
+        if entering != labels[q]:  # a >= row's artificial: the negated surplus
             column = [-a for a in column]
             column[m] -= dens[m]
-        return column
+        r = _ratio_test(basis, (row[-1] for row in rows), column)
+        if r < 0:
+            return False
+        _exchange(t, r, q, entering, column)
 
-    try:
-        for i in range(m):  # price out the starting basis
-            a = reduced(basis[i])
-            if a:
-                row = rows[i]
-                dens[m] = _eliminate(red, dens[m], a, row, dens[i],
-                                     [j for j, b in enumerate(row) if b])
-        while True:
-            pivot_col = -1
-            for j in range(n_enterable):  # Bland: first improving column
-                if red[j] > 0:
-                    pivot_col = j
-                    break
-            else:
-                for j in range(n_enterable, n_enterable + len(arts)):
-                    if reduced(j) > 0:
-                        pivot_col = j
-                        break
-            if pivot_col < 0:
-                return red, dens[m]
-            column = entries(pivot_col)
-            pivot_row = _ratio_test(basis, (row[rhs] for row in rows), column)
-            if pivot_row < 0:
-                return None
-            _pivot(rows, dens, basis, pivot_row, pivot_col, column)
-    finally:
-        rows.pop()
-        dens.pop()
+
+def _exchange(t: _Tableau, r: int, q: int, entering: int, column) -> None:
+    """Pivot column number ``entering``, with entries ``column`` in every
+    row, into row ``r``'s basis through slot ``q``.  The leaving variable
+    takes the slot with row r's unit column; a ``>=`` row's artificial
+    leaves as its surplus, the negated unit column with phase-1 reduced
+    cost -1."""
+    rows, dens = t.rows, t.dens
+    leaving, sign = t.basis[r], 1
+    if leaving >= t.first_art and leaving in t.partner:
+        leaving, sign = t.partner[leaving], -1
+    for row in rows:
+        row[q] = 0
+    rows[r][q] = sign * dens[r]
+    if sign < 0:
+        rows[-1][q] = -dens[-1]
+    t.labels[q] = leaving
+    _pivot(rows, dens, t.basis, r, entering, column)
+
+
+def _drive_out(t: _Tableau) -> None:
+    """Pivot zero-valued basic artificials out after phase 1, each on the
+    least label below ``first_art`` with a nonzero entry in its row; a
+    ``>=`` row's own surplus, whose entry is -1, counts.  Only a redundant
+    ``=`` row has no such entry; its artificial stays basic at zero and no
+    later pivot can move it."""
+    rows, dens, basis, labels, first_art, partner = t
+    for r, art in enumerate(basis):
+        if art < first_art:
+            continue
+        label, q = min(((label, j) for j, label in enumerate(labels)
+                        if label < first_art and rows[r][j]), default=(first_art, -1))
+        if partner.get(art, first_art) < label:  # the surplus swaps in: -1 times row r
+            column = [0] * len(rows)
+            column[r], column[-1] = -dens[r], -dens[-1]
+            _pivot(rows, dens, basis, r, partner[art], column)
+        elif q >= 0:
+            _exchange(t, r, q, label, [row[q] for row in rows])
 
 
 def _ratio_test(basis, values, column) -> int:
@@ -698,7 +718,7 @@ def _pivot(rows, dens, basis, pr, pc, column=None) -> None:
     if p < 0:
         prow = [-a for a in prow]
         p = -p
-    g = gcd(*prow)
+    g = gcd(p, *prow)  # a condensed row does not store its pivot entry
     if g != 1:
         prow = [a // g for a in prow]
         p //= g

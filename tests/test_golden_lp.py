@@ -214,6 +214,32 @@ def test_pivots_match_the_simplex_that_stores_every_artificial():
     assert re_entered >= 40
 
 
+def test_five_firm_core_programs_pivot_as_the_simplex_that_stores_every_column():
+    # The core programs that no partition decides are the ones `cores`
+    # solves; at five firms each has 30 >= rows against 10 columns, so most
+    # of its stored slots would be unit columns in the full tableau.
+    import support
+    from permit_games import stability
+    from permit_games.bankruptcy import CEA
+    from permit_games.partition_games import (
+        MINUS, PLUS, build_game, optimistic_game, pessimistic_game, resource_game)
+
+    rng = random.Random(10)
+    solved = 0
+    for _ in range(8):
+        sit = None
+        while sit is None:
+            sit = support.scarce_situation(rng, n_firms=5)
+        game = build_game(sit, CEA)
+        for derived in (optimistic_game(game), pessimistic_game(game),
+                        resource_game(game, PLUS), resource_game(game, MINUS)):
+            if stability._over_claiming_partition(derived) is None:
+                _, program = stability._core_program(derived)
+                assert _solve_recording_pivots(program) == support.reference_pivots(program)
+                solved += 1
+    assert solved >= 8
+
+
 def test_beale_cycling_example_terminates_at_the_optimum():
     import support
 

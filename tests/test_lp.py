@@ -182,8 +182,9 @@ def test_a_ge_row_stores_no_artificial_column(monkeypatch):
 
     monkeypatch.setattr(lp, "_pivot", recording)
     sol = lp.solve(program)
-    # structural | surplus | rhs, for the tableau rows and the reduced costs
-    assert widths == {program.n_vars + program.n_rows + 1}
+    # one slot per declared variable | rhs, for the tableau rows and the
+    # reduced costs: no surplus is stored while its artificial is basic
+    assert widths == {program.n_vars + 1}
     assert sol.status == lp.OPTIMAL
     assert ((sol.objective_value, sol.primal, sol.dual)
             == (expected.objective_value, expected.primal, expected.dual))
@@ -197,22 +198,21 @@ ONE_PIVOT = lp.linear_program([1], [([1], lp.LE, 5)])
 TWO_ROWS = lp.linear_program([1, 2], [([1, 1], lp.LE, 4), ([0, 1], lp.LE, 3)])
 
 
-def _stop_before_pivoting(rows, dens, basis, cost, cost_den, n_enterable):
+def _stop_before_pivoting(t, cost, cost_den, phase1):
     """A broken kernel that declares its starting basis optimal."""
-    return [*cost, 0], cost_den
+    lp._price_out(t, cost, cost_den)
+    return True
 
 
-def _one_pivot_too_many(rows, dens, basis, cost, cost_den, n_enterable):
+def _one_pivot_too_many(t, cost, cost_den, phase1):
     """A broken kernel that, once optimal, enters a non-improving column."""
-    red, red_den = _REAL_RUN_SIMPLEX(rows, dens, basis, cost, cost_den, n_enterable)
-    col = next(j for j in range(n_enterable) if red[j] < 0)
-    rhs = len(cost)
-    candidates = [i for i in range(len(rows)) if rows[i][col] > 0]
-    row = min(candidates, key=lambda i: F(rows[i][rhs], rows[i][col]))
-    rows.append(red)
-    dens.append(red_den)
-    lp._pivot(rows, dens, basis, row, col)
-    return rows.pop(), dens.pop()
+    bounded = _REAL_RUN_SIMPLEX(t, cost, cost_den, phase1)
+    red = t.rows[-1]
+    q = next(j for j, label in enumerate(t.labels) if label < t.first_art and red[j] < 0)
+    candidates = [i for i in range(len(t.basis)) if t.rows[i][q] > 0]
+    row = min(candidates, key=lambda i: F(t.rows[i][-1], t.rows[i][q]))
+    lp._exchange(t, row, q, t.labels[q], [r[q] for r in t.rows])
+    return bounded
 
 
 BROKEN_KERNELS = [(_stop_before_pivoting, ONE_PIVOT), (_one_pivot_too_many, TWO_ROWS)]
@@ -232,10 +232,10 @@ def test_self_check_rejects_a_non_optimal_basis(monkeypatch, kernel, program):
 NEGATIVE_PIVOT = lp.linear_program([-1], [([1], lp.GE, -1)])
 
 
-def _pivot_on_a_negative_entry(rows, dens, basis, cost, cost_den, n_enterable):
+def _pivot_on_a_negative_entry(t, cost, cost_den, phase1):
     """A broken kernel that first enters x through its negative entry, so x = -1."""
-    lp._pivot(rows, dens, basis, 0, 0)
-    return _REAL_RUN_SIMPLEX(rows, dens, basis, cost, cost_den, n_enterable)
+    lp._exchange(t, 0, 0, 0, [row[0] for row in t.rows])
+    return _REAL_RUN_SIMPLEX(t, cost, cost_den, phase1)
 
 
 def test_self_check_rejects_a_negative_primal(monkeypatch):
