@@ -639,7 +639,7 @@ def _run_simplex(t: _Tableau, cost, cost_den, phase1: bool) -> bool:
         for j, label in enumerate(labels if phase1 and q < 0 else ()):
             if label >= first_art:  # a stored artificial
                 art, improves = label, red[j] > 0
-            else:  # a >= row's, the negated surplus
+            else:  # a >= row's artificial, through its surplus's slot
                 art, improves = partner.get(label, -1), -dens[m] - red[j] > 0
             if art >= 0 and improves and (q < 0 or art < entering):
                 entering, q = art, j
