@@ -55,17 +55,21 @@ A failed check raises RuntimeError, also under ``python -O``.
 A ``BasisTable`` serves a family of programs max c.x s.t. A x <= b, x >= 0
 that share c and A and differ in b (parametric programming, Gal 1979).  It
 keeps each optimal basis it meets with what does not depend on b: the
-tableau B^-1 [A | I], the reduced costs and the dual y = c_B B^-1, whose
-feasibility is checked once, against the rows of A, when the basis enters.
-Only after that check does it read, once per basis, what every walk over
-the basis uses: the B^-1 part of the rows, the structural basic rows on
-one denominator and y weighted for the rows of A.  Its ``sweep`` walks one
+condensed rows as ``solve`` leaves them without the right-hand side, one
+slot per nonbasic column with the reduced costs last, and the dual
+y = c_B B^-1, whose feasibility is checked once, against the rows of A,
+when the basis enters.  Only after that check does it read, once per basis,
+what every walk over the basis uses: B^-1, from the slack slots and the
+unit columns of the basic slacks, the structural basic rows on one
+denominator and y weighted for the rows of A.  Its ``sweep`` walks one
 row's right-hand side down to 0 by dual simplex pivots, so the optimum as a
 function of that right-hand side comes out as exact segments.  The walk
 starts at the first table basis with B^-1 b >= 0, which is then optimal,
 and keeps the B^-1 b that search computed; it calls ``solve`` only when no
-basis qualifies.  Each pivot is stored as an edge of the basis it leaves,
-so it is taken and its new basis checked only once.
+basis qualifies.  A dual simplex pivot is an exchange on a copy of the
+rows, as in ``solve``; among tied ratios the least label enters, as Bland's
+rule on the full rows would.  Each pivot is stored as an edge of the basis
+it leaves, so it is taken and its new basis checked only once.
 
 Every segment is certified at both of its ends, in integers, against the
 rows: x >= 0, A x <= b, complementary slackness and strong duality.  On one
@@ -186,8 +190,8 @@ class LpSolution:
     for a maximization a <=-row has a nonnegative multiplier and a >=-row a
     nonpositive one.  At an optimum the pair (primal, dual) satisfies
     complementary slackness exactly.  At an optimum, ``_tableau`` holds the
-    solver's final condensed ``_Tableau``, with the reduced costs last, for
-    a ``BasisTable`` to take in through ``_expanded``.
+    solver's final condensed ``_Tableau``, with the reduced costs last,
+    whose rows a ``BasisTable`` keeps without the right-hand side.
     """
 
     status: str
@@ -305,21 +309,6 @@ def solve(lp: LinearProgram) -> LpSolution:
     return solution
 
 
-def _expanded(t: _Tableau) -> list[list[int]]:
-    """The full rows B^-1 [A | I] of a program of ``<=`` rows, whose columns
-    are the structural and slack ones, with the reduced costs last and no
-    right-hand side."""
-    full = []
-    for stored in t.rows:
-        row = [0] * t.first_art
-        for label, a in zip(t.labels, stored):
-            row[label] = a
-        full.append(row)
-    for row, col, den in zip(full, t.basis, t.dens):
-        row[col] = den
-    return full
-
-
 class Segment(NamedTuple):
     """The optimum is ``value + slope * (z - lo)`` for the swept right-hand
     side z in [lo, hi]; ``slope`` is the swept row's dual on the segment."""
@@ -331,20 +320,21 @@ class Segment(NamedTuple):
 
 
 class _Basis(NamedTuple):
-    """One certified basis of a ``BasisTable``: the tableau B^-1 [A | I] as
-    integer rows over positive denominators, the basic column of each row,
-    the reduced costs c - yA over ``y_den`` and the dual y = c_B B^-1 over
-    ``y_den``.  ``edges`` maps a leaving row to the basis its dual simplex
-    pivot reaches, and ``along`` a swept row to its ``_Along``.  The rest is
-    read once, after the dual is checked: the B^-1 part of each row, each
-    structural basic row with its factor to the ``common`` denominator of
-    those rows, and y weighted for the rows of A over ``scale`` (see
-    ``_weights``)."""
+    """One certified basis of a ``BasisTable``: the basic column of each
+    row; the condensed rows of B^-1 [A | I], one slot per nonbasic column,
+    then the reduced costs c - yA, as integers over positive ``dens``; the
+    column number stored in each slot; and the dual y = c_B B^-1 over
+    ``y_den``, the reduced costs' denominator.  ``edges`` maps a leaving
+    row to the basis its dual simplex pivot reaches, and ``along`` a swept
+    row to its ``_Along``.  The rest is read once, after the dual is
+    checked: B^-1, row by row, each structural basic row with its factor to
+    the ``common`` denominator of those rows, and y weighted for the rows
+    of A over ``scale`` (see ``_weights``)."""
 
     basis: tuple[int, ...]
     rows: list[list[int]]
     dens: list[int]
-    red: list[int]
+    labels: list[int]
     y: list[int]
     y_den: int
     edges: dict
@@ -402,7 +392,7 @@ class BasisTable:
         where beta is the column of row k's slack and t the top, is optimal
         down to the breakpoint t - rhs_i / beta_i, least over beta_i > 0,
         and its edge at that row crosses the breakpoint.  Ties follow
-        Bland: the least basic index leaves, the least column enters.
+        Bland: the least basic index leaves, the least label enters.
 
         On a basis the primal at depth s = t - z is x_top - s d, so its
         residual A x - b is affine in s.  Once per basis and swept row, the
@@ -428,7 +418,7 @@ class BasisTable:
             if solution.status != OPTIMAL:
                 raise RuntimeError(f"cannot sweep a program that is {solution.status}")
             t = solution._tableau
-            entry = self._enter(_expanded(t), t.dens, t.basis, k)
+            entry = self._enter(t._replace(rows=[row[:-1] for row in t.rows]), k)
             values = None
         # Row i's right-hand side over den_i * den, as _check_segment reads it.
         b = [bi * row.den for bi, row in zip(rhs, self._work)]
@@ -467,35 +457,41 @@ class BasisTable:
 
     def _edge(self, entry: _Basis, r: int, lo: Fraction, k: int) -> _Basis:
         """The basis that row ``r``'s dual ratio test reaches from ``entry``
-        on a sweep of row ``k``: the least column with the least
-        |red_j / a_j| over a_j < 0 enters."""
-        prow, red = entry.rows[r], entry.red
-        col = -1
+        on a sweep of row ``k``: the least label with the least
+        |red_j / a_j| over a_j < 0 enters, by an exchange on a copy of the
+        entry's rows."""
+        rows, labels = entry.rows, entry.labels
+        red = rows[-1]
+        q = -1
         best_d = best_a = 0
-        for j, a in enumerate(prow):
-            if a < 0 and (col < 0 or red[j] * best_a < best_d * a):
-                col, best_d, best_a = j, red[j], a
-        if col < 0:
+        for j, (label, a) in enumerate(zip(labels, rows[r])):
+            if a < 0 and (q < 0 or red[j] * best_a < best_d * a or (
+                    red[j] * best_a == best_d * a and label < labels[q])):
+                q, best_d, best_a = j, red[j], a
+        if q < 0:
             raise RuntimeError(f"no column can enter at {lo}, yet the origin is feasible")
-        rows = [list(row) for row in entry.rows]
-        rows.append(list(red))
-        dens = [*entry.dens, entry.y_den]
-        basis = list(entry.basis)
-        _pivot(rows, dens, basis, r, col)
-        known = self._bases.get(tuple(sorted(basis)))
-        return known if known is not None else self._enter(rows, dens, basis, k)
+        t = _Tableau([list(row) for row in rows], list(entry.dens), list(entry.basis),
+                     list(labels), len(labels) + len(entry.basis), {})
+        _exchange(t, r, q, labels[q], [row[q] for row in rows])
+        known = self._bases.get(tuple(sorted(t.basis)))
+        return known if known is not None else self._enter(t, k)
 
-    def _enter(self, rows, dens, basis, k) -> _Basis:
-        """Add the basis of a tableau (reduced costs last, no right-hand
-        side column) to the table once its dual is checked feasible, with
-        what every sweep reads of it and what a sweep of row ``k`` does."""
+    def _enter(self, t: _Tableau, k) -> _Basis:
+        """Add the basis of a condensed tableau of the ``<=`` rows (reduced
+        costs last, no right-hand side) to the table once its dual is
+        checked feasible, with what every sweep reads of it and what a
+        sweep of row ``k`` does."""
         n = self._program.n_vars
-        entry = _read_basis(rows, dens, basis, n)
+        entry = _read_basis(t, n)
         weights, scale = _check_dual(self._work, self._cost, self._cost_den, entry.y, entry.y_den)
         basic = [(r, col) for r, col in enumerate(entry.basis) if col < n]
         common = lcm(*(entry.dens[r] for r, _ in basic))
+        # Row r of B^-1: the slack slots, and the unit column of a basic slack.
+        slot = {label: j for j, label in enumerate(entry.labels)}
+        slacks = range(n, n + len(entry.basis))
         entry = entry._replace(
-            inverse=[row[n:] for row in entry.rows],
+            inverse=[[row[slot[col]] if col in slot else den * (col == own) for col in slacks]
+                     for row, den, own in zip(entry.rows, entry.dens, entry.basis)],
             basic=[(r, col, common // entry.dens[r]) for r, col in basic],
             common=common, weights=weights, scale=scale)
         self._along(entry, k)
@@ -524,13 +520,14 @@ class BasisTable:
         return along
 
 
-def _read_basis(rows, dens, basis, n) -> _Basis:
-    """A table entry from a tableau whose last row is the reduced costs.  A
-    unit column costs nothing, so its reduced cost is -y_i."""
-    m = len(basis)
-    red = rows[m]
-    return _Basis(tuple(basis), rows[:m], dens[:m], red,
-                  [-red[n + i] for i in range(m)], dens[m], {}, {})
+def _read_basis(t: _Tableau, n) -> _Basis:
+    """A table entry from a condensed tableau whose last row is the reduced
+    costs.  A slack costs nothing, so its reduced cost is -y_i, and y_i is 0
+    when it is basic."""
+    m = len(t.basis)
+    reduced = dict(zip(t.labels, t.rows[m]))
+    return _Basis(tuple(t.basis), t.rows, t.dens, t.labels,
+                  [-reduced.get(n + i, 0) for i in range(m)], t.dens[m], {}, {})
 
 
 def _basic_values(entry: _Basis, rhs: Sequence[int]) -> list[int]:
@@ -707,12 +704,9 @@ def _ratio_test(basis, values, column) -> int:
     return r
 
 
-def _pivot(rows, dens, basis, pr, pc, column=None) -> None:
+def _pivot(rows, dens, basis, pr, pc, column) -> None:
     """Make column number ``pc`` basic in row ``pr``; every other row loses
-    it.  ``column`` holds its entry in each row of ``rows``, read from the
-    stored column pc when not given."""
-    if column is None:
-        column = [row[pc] for row in rows]
+    it.  ``column`` holds its entry in each row of ``rows``."""
     prow = rows[pr]
     p = column[pr]
     if p < 0:

@@ -114,23 +114,23 @@ def reference_pivots(program: lp.LinearProgram):
 
     def pivot(r, j):
         pivots.append((r, j))
-        tableau[r] = [a / tableau[r][j] for a in tableau[r]]
+        prow = tableau[r] = [a / tableau[r][j] for a in tableau[r]]
         for i, row in enumerate(tableau):
             if i != r and row[j]:
-                tableau[i] = [a - row[j] * b for a, b in zip(row, tableau[r])]
+                tableau[i] = [a - row[j] * b if b else a for a, b in zip(row, prow)]
         basis[r] = j
 
     def simplex(cost, enterable):
+        red = list(cost)
+        for row, col in zip(tableau, basis):
+            red = [a - cost[col] * b for a, b in zip(red, row)]
+        tableau.append(red)  # row m, the reduced costs, which every pivot updates
         while True:
-            red = list(cost)
-            for row, col in zip(tableau, basis):
-                red = [a - cost[col] * b for a, b in zip(red, row)]
-            j = next((j for j in range(enterable) if red[j] > 0), None)
-            if j is None:
-                return True
-            rows = [i for i in range(m) if tableau[i][j] > 0]
+            j = next((j for j in range(enterable) if tableau[m][j] > 0), None)
+            rows = [] if j is None else [i for i in range(m) if tableau[i][j] > 0]
             if not rows:
-                return False
+                tableau.pop()
+                return j is None
             pivot(min(rows, key=lambda i: (tableau[i][total] / tableau[i][j], basis[i])), j)
 
     if first_art < total:

@@ -351,6 +351,72 @@ def _demand_of(segments, tax):
     return next(s.lo for s in segments if s.slope <= tax)
 
 
+def _full_tableau(program, basis):
+    """B^-1 [A | I] of ``program``'s declared rows for ``basis``, then the
+    reduced costs c - c_B B^-1 [A | I], in Fractions from scratch: the
+    full tableau, every column stored."""
+    m = program.n_rows
+    full = [[*row, *(F(i == t) for t in range(m))] for i, row in enumerate(program.rows)]
+    matrix = [[row[col] for col in basis] for row in full]
+    columns = [support.gaussian_solve(matrix, [row[j] for row in full])
+               for j in range(len(full[0]))]
+    tableau = [list(row) for row in zip(*columns)]
+    cost = [*program.objective, *[F(0)] * m]
+    return tableau, [c - sum(cost[col] * row[j] for col, row in zip(basis, tableau))
+                     for j, c in enumerate(cost)]
+
+
+def test_each_table_edge_enters_the_column_of_the_full_tableau(monkeypatch):
+    # A table entry stores its nonbasic slots in no set order, so the dual
+    # ratio test must break ties by column number, as Bland's rule does on
+    # the full rows.  Each edge is recomputed in Fractions: the least column
+    # j with the least red_j / a_j over a_j < 0 in the leaving row enters.
+    real = lp.BasisTable._edge
+    tied_edges = []
+
+    def edge(table, entry, r, lo, k):
+        tableau, red = _full_tableau(table._program, entry.basis)
+        for stored, den, row in zip(entry.rows, entry.dens, [*tableau, red]):
+            assert [F(a, den) for a in stored] == [row[label] for label in entry.labels]
+        ratios = {j: red[j] / a for j, a in enumerate(tableau[r]) if a < 0}
+        tied = [j for j, ratio in ratios.items() if ratio == min(ratios.values())]
+        expected = list(entry.basis)
+        expected[r] = min(tied)
+        following = real(table, entry, r, lo, k)
+        assert sorted(following.basis) == sorted(expected)
+        tied_edges.append(len(tied) > 1)
+        return following
+
+    monkeypatch.setattr(lp.BasisTable, "_edge", edge)
+    for sit in _sweep_economies():
+        for fs in lex_coalitions(sit.firms()):
+            production._curve(sit, fs)
+    assert len(tied_edges) > 100 and sum(tied_edges) >= 3  # 116 edges, 3 of them tied
+
+
+def test_a_table_entry_stores_one_slot_per_declared_variable(monkeypatch):
+    # The table-side twin of test_lp.py's check on solve's rows: an entry
+    # keeps neither the right-hand side nor a basic column.
+    real = lp.BasisTable._enter
+    entries = []
+
+    def enter(table, *args):
+        entry = real(table, *args)
+        entries.append((table._program, entry))
+        return entry
+
+    monkeypatch.setattr(lp.BasisTable, "_enter", enter)
+    for sit in _sweep_economies():
+        for fs in lex_coalitions(sit.firms()):
+            production._curve(sit, fs)
+    assert len(entries) > 150
+    for program, entry in entries:
+        n, m = program.n_vars, program.n_rows
+        assert len(entry.rows) == len(entry.dens) == m + 1
+        assert {len(row) for row in entry.rows} == {len(entry.labels)} == {n}
+        assert sorted([*entry.labels, *entry.basis]) == list(range(n + m))
+
+
 _REAL_SEGMENT = lp._segment
 _REAL_READ_BASIS = lp._read_basis
 _REAL_SOLVE = lp.solve
