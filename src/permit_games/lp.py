@@ -61,29 +61,26 @@ y = c_B B^-1, whose feasibility is checked once, against the rows of A,
 when the basis enters.  Only after that check does it read, once per basis,
 what every walk over the basis uses: B^-1, from the slack slots and the
 unit columns of the basic slacks, the structural basic rows on one
-denominator and y weighted for the rows of A.  Its ``sweep`` walks one
-row's right-hand side down to 0 by dual simplex pivots, so the optimum as a
-function of that right-hand side comes out as exact segments.  The walk
-starts at the first table basis with B^-1 b >= 0, which is then optimal,
-and keeps the B^-1 b that search computed; it calls ``solve`` only when no
-basis qualifies.  A dual simplex pivot is an exchange on a copy of the
-rows, as in ``solve``; among tied ratios the least label enters, as Bland's
-rule on the full rows would.  Each pivot is stored as an edge of the basis
-it leaves, so it is taken and its new basis checked only once.
+denominator and y as Fractions.  Its ``sweep`` walks one row's right-hand
+side down to 0 by dual simplex pivots, so the optimum as a function of that
+right-hand side comes out as exact segments.  The walk starts at the first
+table basis with B^-1 b >= 0, which is then optimal, and keeps the B^-1 b
+that search computed; it calls ``solve`` only when no basis qualifies.  A
+dual simplex pivot is an exchange on a copy of the rows, as in ``solve``;
+among tied ratios the least label enters, as Bland's rule on the full rows
+would.  Each pivot is stored as an edge of the basis it leaves, so it is
+taken and its new basis checked only once.
 
-Every segment is certified at both of its ends, in integers, against the
-rows: x >= 0, A x <= b, complementary slackness and strong duality.  On one
-basis the primal at depth s = t - z below the sweep's top t is
-x_top - s d, so the residual A x - b is A x_top - b - s g with
-g = A d - e_k for the swept row k.  Once per basis and swept row the table
-computes d from the tableau and g from the rows, checks c.d = y_k and
-g_i = 0 wherever y_i is not 0, and caches them with row k's slack column
-and the slope y_k.  Once per segment it checks x_top in full, computing
-A x_top - b from the rows and c.x_top = y.b with the stored weights of the
-checked dual, then reaches each end by the exact updates x_top - s d and
-A x_top - b - s g and checks x >= 0, A x <= b and complementary slackness
-there; strong duality at both ends follows from the two identities.  The
-segment's value must be c.x at its lower end and its slope y_k.
+Every segment is certified by the exact-basis certificate (Dhiflaoui et
+al., SODA 2003; Applegate, Cook, Dash and Espinoza, Oper. Res. Letters 35,
+2007), in integers.  Once per basis, as it enters, the table checks against
+the declared rows and objective that the stored B^-1 inverts B, whose
+columns are A_j for the basic structurals and e_i for the basic slacks, and
+that y prices every basic column at its cost.  With dual feasibility, every
+b with x_B = B^-1 b >= 0 then has A x + s = b, complementary slackness and
+c.x = y.b.  Once per segment only x_B >= 0 is left, recomputed from B^-1
+and the right-hand side at both ends; the segment's value must be c.x at
+its lower end and its slope y_k for the swept row k.
 """
 
 from __future__ import annotations
@@ -325,11 +322,14 @@ class _Basis(NamedTuple):
     then the reduced costs c - yA, as integers over positive ``dens``; the
     column number stored in each slot; and the dual y = c_B B^-1 over
     ``y_den``, the reduced costs' denominator.  ``edges`` maps a leaving
-    row to the basis its dual simplex pivot reaches, and ``along`` a swept
-    row to its ``_Along``.  The rest is read once, after the dual is
-    checked: B^-1, row by row, each structural basic row with its factor to
-    the ``common`` denominator of those rows, and y weighted for the rows
-    of A over ``scale`` (see ``_weights``)."""
+    row to the basis its dual simplex pivot reaches.  The rest is read once
+    the dual is checked feasible: B^-1, row r over ``dens[r]``, each
+    structural basic row with its factor to the ``common`` denominator of
+    those rows, and y as Fractions, which every segment on the basis shares
+    as its slope.  B^-1 and y are then checked to be an exact basis of the
+    declared rows (``_check_basis``; Dhiflaoui et al., SODA 2003; Applegate,
+    Cook, Dash and Espinoza, Oper. Res. Letters 35, 2007), so every
+    right-hand side b with B^-1 b >= 0 has the optimum they give."""
 
     basis: tuple[int, ...]
     rows: list[list[int]]
@@ -338,26 +338,10 @@ class _Basis(NamedTuple):
     y: list[int]
     y_den: int
     edges: dict
-    along: dict
     inverse: Sequence[list[int]] = ()
     basic: Sequence[tuple[int, int, int]] = ()
     common: int = 1
-    weights: Sequence[int] = ()
-    scale: int = 1
-
-
-class _Along(NamedTuple):
-    """What a sweep of row k reads of one basis, on which the primal at
-    depth s = t - z below the top t is x_top - s d: row k's slack column of
-    B^-1, over each row's denominator, for the ratio test; the direction d
-    as numerators over the basis's ``common`` denominator; the residual
-    slopes g = A d - e_k of the standard-form rows, g_i as a numerator over
-    den_i * common; and the segment slope y_k."""
-
-    column: list[int]
-    direction: list[int]
-    residual: list[int]
-    slope: Fraction
+    dual: Sequence[Fraction] = ()
 
 
 class BasisTable:
@@ -365,7 +349,7 @@ class BasisTable:
     every right-hand side b >= 0 that is swept on it.
 
     A basis enters the table once, from ``solve`` or by a dual simplex
-    pivot, and its dual is then checked feasible against the rows of A.
+    pivot, and its dual and B^-1 are then checked against the rows of A.
     Nothing in an entry depends on b, so a basis whose B^-1 b is
     nonnegative is optimal for that b with no further pivot, and a pivot
     taken once is an edge that every later sweep follows.
@@ -394,16 +378,12 @@ class BasisTable:
         and its edge at that row crosses the breakpoint.  Ties follow
         Bland: the least basic index leaves, the least label enters.
 
-        On a basis the primal at depth s = t - z is x_top - s d, so its
-        residual A x - b is affine in s.  Once per basis and swept row, the
-        direction d and the residual slopes g = A d - e_k are computed from
-        the rows, c.d = y_k is checked, and so is g_i = 0 wherever y_i is
-        not 0 (``_Along``).  Each segment checks x_top in full, its
-        residual A x_top - b and c.x_top = y.b, and reaches both of its ends
-        by exact updates: x >= 0, A x <= b and complementary slackness
-        there (``_check_segment``).  A failure raises RuntimeError.
+        Each basis entered the table with its B^-1 and dual checked as an
+        exact basis of the rows (``_check_basis``), so a segment needs only
+        B^-1 b >= 0 at both of its ends, recomputed from the right-hand
+        side there; its value must be c.x at its lower end and its slope
+        y_k (``_check_segment``).  A failure raises RuntimeError.
         """
-        n = self._program.n_vars
         if den <= 0 or any(b < 0 for b in rhs) or rhs[k] <= 0:
             raise ValueError("sweep needs nonnegative right-hand sides and a positive one "
                              "on the swept row")
@@ -418,18 +398,15 @@ class BasisTable:
             if solution.status != OPTIMAL:
                 raise RuntimeError(f"cannot sweep a program that is {solution.status}")
             t = solution._tableau
-            entry = self._enter(t._replace(rows=[row[:-1] for row in t.rows]), k)
+            entry = self._enter(t._replace(rows=[row[:-1] for row in t.rows]))
             values = None
-        # Row i's right-hand side over den_i * den, as _check_segment reads it.
-        b = [bi * row.den for bi, row in zip(rhs, self._work)]
         segments: list[Segment] = []
         # A level is z with its distance t - z from the top as (p, q) = p / q.
         high = (Fraction(rhs[k], den), 0, 1)
         while True:
             if values is None:
                 values = _basic_values(entry, rhs)
-            along = entry.along.get(k) or self._along(entry, k)
-            column = along.column
+            column = [row[k] for row in entry.inverse]
             r = _ratio_test(entry.basis, values, column)
             # Row r's basic variable reaches 0 at t - z = values_r / (den * column_r).
             bottom = r < 0 or values[r] >= rhs[k] * column[r]
@@ -439,27 +416,25 @@ class BasisTable:
                 q = den * column[r]
                 low = (Fraction(rhs[k] * column[r] - values[r], q), values[r], q)
             if low[1] * high[2] > high[1] * low[2]:
-                segment, top = _segment(entry, along, rhs, den, values, n, k, low, high[0])
-                _check_segment(self._work, self._cost, self._cost_den, b, den, k,
-                               segment, entry, along, top)
+                segment = _segment(entry, rhs, den, k, low, high[0])
+                _check_segment(self._cost, self._cost_den, rhs, den, k, segment, entry)
                 segments.append(segment)
                 high = low
             if bottom:
                 break
             following = entry.edges.get(r)
             if following is None:
-                following = entry.edges[r] = self._edge(entry, r, low[0], k)
+                following = entry.edges[r] = self._edge(entry, r, low[0])
             entry, values = following, None
         if segments[0].slope != 0:
             raise RuntimeError("the swept row is not slack at the top")
         segments.reverse()
         return segments
 
-    def _edge(self, entry: _Basis, r: int, lo: Fraction, k: int) -> _Basis:
+    def _edge(self, entry: _Basis, r: int, lo: Fraction) -> _Basis:
         """The basis that row ``r``'s dual ratio test reaches from ``entry``
-        on a sweep of row ``k``: the least label with the least
-        |red_j / a_j| over a_j < 0 enters, by an exchange on a copy of the
-        entry's rows."""
+        at ``lo``: the least label with the least |red_j / a_j| over
+        a_j < 0 enters, by an exchange on a copy of the entry's rows."""
         rows, labels = entry.rows, entry.labels
         red = rows[-1]
         q = -1
@@ -474,16 +449,16 @@ class BasisTable:
                      list(labels), len(labels) + len(entry.basis), {})
         _exchange(t, r, q, labels[q], [row[q] for row in rows])
         known = self._bases.get(tuple(sorted(t.basis)))
-        return known if known is not None else self._enter(t, k)
+        return known if known is not None else self._enter(t)
 
-    def _enter(self, t: _Tableau, k) -> _Basis:
+    def _enter(self, t: _Tableau) -> _Basis:
         """Add the basis of a condensed tableau of the ``<=`` rows (reduced
         costs last, no right-hand side) to the table once its dual is
-        checked feasible, with what every sweep reads of it and what a
-        sweep of row ``k`` does."""
+        checked feasible and, with what every sweep reads of it, an exact
+        basis of the rows."""
         n = self._program.n_vars
         entry = _read_basis(t, n)
-        weights, scale = _check_dual(self._work, self._cost, self._cost_den, entry.y, entry.y_den)
+        _check_dual(self._work, self._cost, self._cost_den, entry.y, entry.y_den)
         basic = [(r, col) for r, col in enumerate(entry.basis) if col < n]
         common = lcm(*(entry.dens[r] for r, _ in basic))
         # Row r of B^-1: the slack slots, and the unit column of a basic slack.
@@ -492,32 +467,11 @@ class BasisTable:
         entry = entry._replace(
             inverse=[[row[slot[col]] if col in slot else den * (col == own) for col in slacks]
                      for row, den, own in zip(entry.rows, entry.dens, entry.basis)],
-            basic=[(r, col, common // entry.dens[r]) for r, col in basic],
-            common=common, weights=weights, scale=scale)
-        self._along(entry, k)
+            basic=[(r, col, common // entry.dens[r]) for r, col in basic], common=common,
+            dual=[Fraction(yi, entry.y_den) for yi in entry.y])
+        _check_basis(self._work, self._cost, self._cost_den, entry)
         self._bases[tuple(sorted(entry.basis))] = entry
         return entry
-
-    def _along(self, entry: _Basis, k: int) -> _Along:
-        """Cache on ``entry`` what a sweep of row ``k`` reads of it, once the
-        direction is checked against the standard-form rows and the
-        objective: c.d = y_k, and g_i = 0 wherever y_i is not 0, so strong
-        duality and complementary slackness hold along the whole basis
-        wherever they hold at x_top.  A failure is a solver bug."""
-        work, common = self._work, entry.common
-        y, y_den = entry.y, entry.y_den
-        column = [row[k] for row in entry.inverse]
-        direction = [0] * self._program.n_vars
-        for r, col, factor in entry.basic:
-            direction[col] = column[r] * factor
-        residual = [sum(map(mul, row.structural, direction)) for row in work]
-        residual[k] -= common * work[k].den
-        if sum(map(mul, self._cost, direction)) * y_den != y[k] * self._cost_den * common:
-            raise RuntimeError("strong duality failed along the basis: c.d is not y_k")
-        if any(yi and g for yi, g in zip(y, residual)):
-            raise RuntimeError("complementary slackness violated along the basis")
-        along = entry.along[k] = _Along(column, direction, residual, Fraction(y[k], y_den))
-        return along
 
 
 def _read_basis(t: _Tableau, n) -> _Basis:
@@ -527,7 +481,31 @@ def _read_basis(t: _Tableau, n) -> _Basis:
     m = len(t.basis)
     reduced = dict(zip(t.labels, t.rows[m]))
     return _Basis(tuple(t.basis), t.rows, t.dens, t.labels,
-                  [-reduced.get(n + i, 0) for i in range(m)], t.dens[m], {}, {})
+                  [-reduced.get(n + i, 0) for i in range(m)], t.dens[m], {})
+
+
+def _check_basis(work, cost, cost_den, entry: _Basis) -> None:
+    """An entry whose dual ``_check_dual`` passed is an exact basis of the
+    standard-form rows ``work`` and the objective's numerators ``cost`` over
+    ``cost_den``, recomputed from them and not from the tableau: B^-1 B = I,
+    where B's columns are A_j for the basic structurals and e_i for the
+    basic slacks, and y B = c_B.  B is square, so a left inverse is its
+    inverse, and every b with x_B = B^-1 b >= 0 then has A x + s = b,
+    complementary slackness (y_i = 0 on every basic slack) and
+    c.x = c_B B^-1 b = y.b.  A violation is a solver bug: RuntimeError."""
+    n, m = len(cost), len(work)
+    common = lcm(*(row.den for row in work))
+    # B's columns over ``common``.
+    columns = [[row.structural[col] * (common // row.den) for row in work] if col < n
+               else [common * (i == col - n) for i in range(m)] for col in entry.basis]
+    for r, (row, den) in enumerate(zip(entry.inverse, entry.dens)):
+        if [sum(map(mul, row, column)) for column in columns] != [
+                den * common * (c == r) for c in range(m)]:
+            raise RuntimeError(f"row {r} of the stored B^-1 does not invert the basis")
+    for col, column in zip(entry.basis, columns):
+        price = cost[col] if col < n else 0
+        if sum(map(mul, entry.y, column)) * cost_den != price * entry.y_den * common:
+            raise RuntimeError(f"the dual misprices basic column {col}")
 
 
 def _basic_values(entry: _Basis, rhs: Sequence[int]) -> list[int]:
@@ -536,62 +514,43 @@ def _basic_values(entry: _Basis, rhs: Sequence[int]) -> list[int]:
     return [sum(map(mul, row, rhs)) for row in entry.inverse]
 
 
-def _segment(entry: _Basis, along: _Along, rhs, den, values, n, k, low, hi):
+def _segment(entry: _Basis, rhs, den, k, low, hi) -> Segment:
     """Read the segment from a level (z, p, q), with t - z = p / q for the
-    top t, up to ``hi`` off a basis's table entry, with the basis's primal
-    x_top at the top as numerators over ``entry.common * den``.  ``values``
-    is B^-1 b at the top, as ``_basic_values`` gives it."""
-    top = [0] * n
-    for r, col, factor in entry.basic:
-        top[col] = values[r] * factor
+    top t, up to ``hi`` off a basis's table entry: its value y.b at z."""
     y = entry.y
-    _, p, q = low
+    z, p, q = low
     value = Fraction(sum(map(mul, y, rhs)) * q - y[k] * p * den, entry.y_den * den * q)
-    return Segment(low[0], hi, value, along.slope), top
+    return Segment(z, hi, value, entry.dual[k])
 
 
-def _check_segment(work, cost, cost_den, b, b_den, k, segment, entry, along, top) -> None:
-    """Certify a segment against the standard-form rows with the entry's
-    dual, whose feasibility was checked on entry, the weights read then and
-    the direction ``along`` caches; row i's right-hand side at the top t is
-    ``b[i] / (den_i * b_den)``, and ``top`` is x_top over
-    ``entry.common * b_den``.
+def _check_segment(cost, cost_den, rhs, den, k, segment, entry) -> None:
+    """Certify a segment of a table basis that ``_check_basis`` passed,
+    when row i's right-hand side is ``rhs[i] / den`` and row k's is z.
 
-    x_top is checked in full: its residual A x_top - b and c.x_top = y.b.
-    Each end z of the segment, at depth s = t - z, is reached by the exact
-    updates x_top - s d and A x_top - b - s g, and checked there: x >= 0,
-    A x <= b and complementary slackness.  With c.d = y_k, strong duality
-    then holds at both ends.  The value is c.x at lo, and the slope y_k."""
-    y, y_den, common = entry.y, entry.y_den, entry.common
+    The slope must be y_k.  At each end z, x_B = B^-1 b is recomputed from
+    the right-hand side there and must be nonnegative, which with the
+    entry's checks gives feasibility, complementary slackness and strong
+    duality at z.  The value must be c.x at lo, built through the
+    structural basic rows' factors."""
+    y, y_den = entry.y, entry.y_den
     slope = segment.slope
     if slope.numerator * y_den != y[k] * slope.denominator:
         raise RuntimeError("segment slope is not the swept row's dual")
-    # Row i's residual over den_i * common * b_den; c.x_top over cost_den * common * b_den.
-    residual = [sum(map(mul, row.structural, top)) - common * bi for row, bi in zip(work, b)]
-    value_top = sum(map(mul, cost, top))
-    if value_top * entry.scale != sum(map(mul, entry.weights, b)) * cost_den * common:
-        raise RuntimeError("strong duality failed")
-    direction, slopes = along.direction, along.residual
-    # At z, s = p / (b_den q): x is (q x_top - p d) / q over top's
-    # denominator, and the residual (q r - p g) / q over r's.
-    den_k = work[k].den
-    ends = [(z, z.denominator * den_k, b[k] * z.denominator - z.numerator * b_den * den_k)
-            for z in (segment.lo, segment.hi)]
-    # c.x at lo is (q c.x_top - p c.d) over cost_den * common * b_den * q.
-    _, q, p = ends[0]
-    value = segment.value
-    if ((q * value_top - p * sum(map(mul, cost, direction))) * value.denominator
-            != value.numerator * cost_den * common * b_den * q):
-        raise RuntimeError("primal objective differs from the reported value")
-    for z, q, p in ends:
-        if any(x * q < p * d for x, d in zip(top, direction)):
-            raise RuntimeError(f"negative primal entry at z = {z}")
-        for i, (r, g, yi) in enumerate(zip(residual, slopes, y)):
-            gap = r * q - p * g
-            if gap > 0:
-                raise RuntimeError(f"infeasible primal (row {i}) at z = {z}")
-            if yi and gap:
-                raise RuntimeError(f"complementary slackness violated on row {i} at z = {z}")
+    for z in (segment.lo, segment.hi):
+        # b at z over den * q, so row r's basic variable is over dens[r] * den * q.
+        q = z.denominator
+        b = [bi * q for bi in rhs]
+        b[k] = z.numerator * den
+        xs = _basic_values(entry, b)
+        if min(xs) < 0:
+            raise RuntimeError(f"negative basic variable at z = {z}")
+        if z == segment.lo:
+            # c.x over cost_den * common * den * q.
+            value = segment.value
+            objective = sum(cost[col] * xs[r] * factor for r, col, factor in entry.basic)
+            if (objective * value.denominator
+                    != value.numerator * cost_den * entry.common * den * q):
+                raise RuntimeError("primal objective differs from the reported value")
 
 
 def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -374,7 +374,7 @@ def test_each_table_edge_enters_the_column_of_the_full_tableau(monkeypatch):
     real = lp.BasisTable._edge
     tied_edges = []
 
-    def edge(table, entry, r, lo, k):
+    def edge(table, entry, r, lo):
         tableau, red = _full_tableau(table._program, entry.basis)
         for stored, den, row in zip(entry.rows, entry.dens, [*tableau, red]):
             assert [F(a, den) for a in stored] == [row[label] for label in entry.labels]
@@ -382,7 +382,7 @@ def test_each_table_edge_enters_the_column_of_the_full_tableau(monkeypatch):
         tied = [j for j, ratio in ratios.items() if ratio == min(ratios.values())]
         expected = list(entry.basis)
         expected[r] = min(tied)
-        following = real(table, entry, r, lo, k)
+        following = real(table, entry, r, lo)
         assert sorted(following.basis) == sorted(expected)
         tied_edges.append(len(tied) > 1)
         return following
@@ -422,25 +422,21 @@ _REAL_READ_BASIS = lp._read_basis
 _REAL_SOLVE = lp.solve
 _REAL_SWEEP = lp.BasisTable.sweep
 _REAL_ENTER = lp.BasisTable._enter
+_REAL_CHECK_BASIS = lp._check_basis
 
 
-# Each takes and returns what ``lp._segment`` returns: the segment and its
-# basis's primal at the top of the sweep.
+# Each takes and returns the ``Segment`` that ``lp._segment`` returns.
 
 
-def _wrong_slope(segment, top):
-    return segment._replace(slope=segment.slope + 1), top
+def _wrong_slope(segment):
+    return segment._replace(slope=segment.slope + 1)
 
 
-def _wrong_value(segment, top):
-    return segment._replace(value=segment.value + 1), top
+def _wrong_value(segment):
+    return segment._replace(value=segment.value + 1)
 
 
-def _wrong_primal(segment, top):
-    return segment, [top[0] + 1, *top[1:]]
-
-
-CORRUPTIONS = [_wrong_slope, _wrong_value, _wrong_primal]
+CORRUPTIONS = [_wrong_slope, _wrong_value]
 
 
 def _corrupt_segments(patch, corrupt, on_hit):
@@ -459,7 +455,7 @@ def _corrupt_segments(patch, corrupt, on_hit):
 
     def segment(*args):
         real = _REAL_SEGMENT(*args)
-        return corrupt(*real) if on_hit != bool(solved) else real
+        return corrupt(real) if on_hit != bool(solved) else real
 
     patch(lp.BasisTable, "sweep", sweep)
     patch(lp, "solve", solve)
@@ -470,22 +466,36 @@ def _infeasible_dual(entry):
     return entry._replace(y=[0] * len(entry.y))
 
 
-def _corrupt_entries(patch, from_pivot):
-    """Give a zero, and so infeasible, dual to every basis that enters a
-    table, or to all but the first: the first comes from ``solve`` and, in
-    the reference economy, the second from a pivot of the same sweep."""
+def _doubled_dual(entry):
+    # Still feasible, since the prices are positive, but it prices every
+    # basic structural column at twice its cost.
+    return entry._replace(y=[2 * yi for yi in entry.y])
+
+
+def _corrupt_entries(patch, from_pivot, corrupt=_infeasible_dual):
+    """Corrupt the dual of every basis that enters a table, or of all but
+    the first: the first comes from ``solve`` and, in the reference economy,
+    the second from a pivot of the same sweep."""
     read = []
 
     def read_basis(*args):
         read.append(args)
         entry = _REAL_READ_BASIS(*args)
-        return _infeasible_dual(entry) if len(read) > from_pivot else entry
+        return corrupt(entry) if len(read) > from_pivot else entry
 
     patch(lp, "_read_basis", read_basis)
 
 
-def _raise_weights(entry):
-    entry.weights[:] = [w + 1 for w in entry.weights]
+def _corrupt_inverse(patch, structural):
+    """Raise one entry of B^-1, on the row of a structural basic variable or
+    of a basic slack, of every basis as it enters, before it is checked."""
+    def check_basis(work, cost, cost_den, entry):
+        n = len(cost)
+        r = next(r for r, col in enumerate(entry.basis) if (col < n) == structural)
+        entry.inverse[r][0] += 1
+        _REAL_CHECK_BASIS(work, cost, cost_den, entry)
+
+    patch(lp, "_check_basis", check_basis)
 
 
 def _raise_factors(entry):
@@ -497,27 +507,12 @@ def _raise_inverse(entry):
         row[0] += 1
 
 
-def _raise_direction(entry):
-    for along in entry.along.values():
-        along.direction[0] += 1
+def _raise_dual(entry):
+    entry.dual[:] = [yi + 1 for yi in entry.dual]
 
 
-def _raise_residual_slope(entry):
-    # On a row with a nonzero dual, which must stay tight along the basis.
-    row = next(i for i, yi in enumerate(entry.y) if yi)
-    for along in entry.along.values():
-        along.residual[row] += 1
-
-
-def _raise_objective_slope(entry):
-    for k, along in entry.along.items():
-        entry.along[k] = along._replace(slope=along.slope + 1)
-
-
-# Corruptions of what a table entry caches after its dual check, the last
-# three of what it caches for the swept row.
-CACHED_CORRUPTIONS = [_raise_weights, _raise_factors, _raise_inverse,
-                      _raise_direction, _raise_residual_slope, _raise_objective_slope]
+# Corruptions of what a table entry caches after it is checked.
+CACHED_CORRUPTIONS = [_raise_factors, _raise_inverse, _raise_dual]
 
 
 def _corrupt_cached(patch, corrupt):
@@ -554,6 +549,24 @@ def test_an_infeasible_dual_is_refused_when_it_enters_the_table(monkeypatch, fro
     assert sit._memo == {}
 
 
+def test_a_dual_that_misprices_a_basic_column_is_refused_as_it_enters(monkeypatch):
+    sit = _reference_economy()
+    _corrupt_entries(monkeypatch.setattr, False, _doubled_dual)
+    with pytest.raises(RuntimeError, match="the dual misprices basic column"):
+        _demands_in_lex_order(sit)
+    assert sit._bases._bases == {}
+    assert sit._memo == {}
+
+
+@pytest.mark.parametrize("structural", [True, False], ids=["structural", "slack"])
+def test_a_corrupted_inverse_is_refused_as_it_enters(monkeypatch, structural):
+    sit = _reference_economy()
+    _corrupt_inverse(monkeypatch.setattr, structural)
+    with pytest.raises(RuntimeError, match="of the stored B\\^-1 does not invert the basis"):
+        _demands_in_lex_order(sit)
+    assert sit._bases._bases == {}
+
+
 @pytest.mark.parametrize("corrupt", CACHED_CORRUPTIONS)
 def test_a_corrupted_cached_basis_field_is_refused(monkeypatch, corrupt):
     _corrupt_cached(monkeypatch.setattr, corrupt)
@@ -582,7 +595,9 @@ print("optimize", sys.flags.optimize)
     assert lines[-1] == "optimize 1"
     raised = len(CACHED_CORRUPTIONS)
     assert len(lines) == raised + 1 and all(line.startswith("raised") for line in lines[:raised])
-    assert "strong duality failed" in lines[0]
+    assert all("primal objective differs from the reported value" in line
+               for line in lines[:2])
+    assert "segment slope is not the swept row's dual" in lines[2]
 
 
 def test_a_segment_raised_past_its_basis_is_refused_at_its_hi_end(monkeypatch):
@@ -590,9 +605,9 @@ def test_a_segment_raised_past_its_basis_is_refused_at_its_hi_end(monkeypatch):
     # leaves the lo end as it was and breaks only the far end.
     raised = []
 
-    def raise_hi(segment, top):
+    def raise_hi(segment):
         raised.append(segment.hi + 1)
-        return segment._replace(hi=raised[-1]), top
+        return segment._replace(hi=raised[-1])
 
     for on_hit in (False, True):
         with monkeypatch.context() as patch:
@@ -635,8 +650,8 @@ def test_every_swept_segment_passes_the_per_endpoint_reference_check(monkeypatch
     checked = []
     real = lp._check_segment
 
-    def check_segment(work, cost, cost_den, b, b_den, k, segment, entry, along, top):
-        real(work, cost, cost_den, b, b_den, k, segment, entry, along, top)
+    def check_segment(cost, cost_den, rhs, den, k, segment, entry):
+        real(cost, cost_den, rhs, den, k, segment, entry)
         checked.append((segment, entry, k))
 
     monkeypatch.setattr(lp, "_check_segment", check_segment)
@@ -674,7 +689,8 @@ def test_an_infeasible_dual_exits_three(monkeypatch, capsys):
 
 
 def test_corrupted_segments_are_refused_under_python_O():
-    # Also a basis with an infeasible dual, refused as it enters the table.
+    # Also a basis with an infeasible or mispricing dual or a corrupted
+    # B^-1, refused as it enters the table.
     script = """
 import sys
 import test_production as t
@@ -686,8 +702,16 @@ for corrupt in t.CORRUPTIONS:
         except RuntimeError as exc:
             print("raised", exc)
 t.lp.solve, t.lp._segment, t.lp.BasisTable.sweep = t._REAL_SOLVE, t._REAL_SEGMENT, t._REAL_SWEEP
-for from_pivot in (False, True):
-    t._corrupt_entries(setattr, from_pivot)
+for from_pivot, corrupt in ((False, t._infeasible_dual), (True, t._infeasible_dual),
+                            (False, t._doubled_dual)):
+    t._corrupt_entries(setattr, from_pivot, corrupt)
+    try:
+        t._demands_in_lex_order(t._reference_economy())
+    except RuntimeError as exc:
+        print("raised", exc)
+t.lp._read_basis = t._REAL_READ_BASIS
+for structural in (True, False):
+    t._corrupt_inverse(setattr, structural)
     try:
         t._demands_in_lex_order(t._reference_economy())
     except RuntimeError as exc:
@@ -701,4 +725,6 @@ print("optimize", sys.flags.optimize)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[-1] == "optimize 1"
-    assert len(lines) == 9 and all(line.startswith("raised") for line in lines[:8])
+    assert len(lines) == 10 and all(line.startswith("raised") for line in lines[:9])
+    assert "the dual misprices basic column" in lines[6]
+    assert all("does not invert the basis" in line for line in lines[7:9])
