@@ -61,15 +61,15 @@ y = c_B B^-1, whose feasibility is checked once, against the rows of A,
 when the basis enters.  Only after that check does it read, once per basis,
 what every walk over the basis uses: B^-1, from the slack slots and the
 unit columns of the basic slacks, the structural basic rows on one
-denominator and y as Fractions.  Its ``sweep`` walks one row's right-hand
-side down to 0 by dual simplex pivots, so the optimum as a function of that
-right-hand side comes out as exact segments.  The walk starts at the first
-table basis with B^-1 b >= 0, which is then optimal, and keeps the B^-1 b
-that search computed; it calls ``solve`` only when no basis qualifies.  A
-dual simplex pivot is an exchange on a copy of the rows, as in ``solve``;
-among tied ratios the least label enters, as Bland's rule on the full rows
-would.  Each pivot is stored as an edge of the basis it leaves, so it is
-taken and its new basis checked only once.
+denominator and y as Fractions.  Its ``sweep`` walks a positive row's
+right-hand side up from 0 by dual simplex pivots, so the optimum as a
+function of that right-hand side comes out as exact segments.  Every walk
+of the row starts at its root, the one basis optimal at 0 for every b >= 0
+on the other rows, so the table calls ``solve`` once per swept row.  A dual
+simplex pivot is an exchange on a copy of the rows, as in ``solve``; among
+tied ratios the least label enters, as Bland's rule on the full rows would.
+Each pivot is stored as an edge of the basis it leaves, so it is taken and
+its new basis checked only once.
 
 Every segment is certified by the exact-basis certificate (Dhiflaoui et
 al., SODA 2003; Applegate, Cook, Dash and Espinoza, Oper. Res. Letters 35,
@@ -362,21 +362,20 @@ class BasisTable:
         self._work = [_std_row(row, ZERO, LE) for row in self._program.rows]
         self._cost, self._cost_den = _integer_row(self._program.objective)
         self._bases: dict[tuple[int, ...], _Basis] = {}
+        self._roots: dict[int, _Basis] = {}
 
     def sweep(self, rhs: Sequence[int], den: int, k: int) -> list[Segment]:
-        """The optimum as row ``k``'s right-hand side z falls from its top
-        value to 0, when row i's right-hand side is ``rhs[i] / den``:
+        """The optimum as row ``k``'s right-hand side z rises from 0 to its
+        top value, when row i's right-hand side is ``rhs[i] / den``:
         segments of positive length in increasing z.
 
-        The program must be bounded, and row k slack at its optimum at the
-        top, so the top segment has slope 0 and holds for every z above its
-        lower end too.  The walk starts at the first table basis that is
-        feasible at the top, or at the basis ``solve`` finds when none is.
-        A basis with row i's basic variable rhs_i - (t - z) beta_i at z,
-        where beta is the column of row k's slack and t the top, is optimal
-        down to the breakpoint t - rhs_i / beta_i, least over beta_i > 0,
-        and its edge at that row crosses the breakpoint.  Ties follow
-        Bland: the least basic index leaves, the least label enters.
+        Row k must be positive, the program bounded, and row k slack at its
+        optimum at the top, so the last segment has slope 0 and holds for
+        every larger z too.  The walk starts at row k's root (``_root``).  A
+        basis with row r's basic variable u_r + z beta_r, where beta is row
+        k's column of B^-1, is optimal up to the breakpoint -u_r / beta_r,
+        least over beta_r < 0, and its edge at that row crosses it.  Ties
+        follow Bland: the least basic index leaves, the least label enters.
 
         Each basis entered the table with its B^-1 and dual checked as an
         exact basis of the rows (``_check_basis``), so a segment needs only
@@ -387,53 +386,49 @@ class BasisTable:
         if den <= 0 or any(b < 0 for b in rhs) or rhs[k] <= 0:
             raise ValueError("sweep needs nonnegative right-hand sides and a positive one "
                              "on the swept row")
-        # The first table basis feasible at the top, with its B^-1 b, else solve's.
-        for known in self._bases.values():
-            values = _basic_values(known, rhs)
-            if min(values) >= 0:
-                entry = known
-                break
-        else:
-            solution = solve(replace(self._program, rhs=tuple(Fraction(b, den) for b in rhs)))
-            if solution.status != OPTIMAL:
-                raise RuntimeError(f"cannot sweep a program that is {solution.status}")
-            t = solution._tableau
-            entry = self._enter(t._replace(rows=[row[:-1] for row in t.rows]))
-            values = None
+        entry = self._roots.get(k) or self._root(k)
+        rest = [0 if i == k else b for i, b in enumerate(rhs)]
+        top = Fraction(rhs[k], den)
         segments: list[Segment] = []
-        # A level is z with its distance t - z from the top as (p, q) = p / q.
-        high = (Fraction(rhs[k], den), 0, 1)
+        lo = ZERO
         while True:
-            if values is None:
-                values = _basic_values(entry, rhs)
-            column = [row[k] for row in entry.inverse]
-            r = _ratio_test(entry.basis, values, column)
-            # Row r's basic variable reaches 0 at t - z = values_r / (den * column_r).
-            bottom = r < 0 or values[r] >= rhs[k] * column[r]
-            if bottom:
-                low = (ZERO, rhs[k], den)
-            else:
-                q = den * column[r]
-                low = (Fraction(rhs[k] * column[r] - values[r], q), values[r], q)
-            if low[1] * high[2] > high[1] * low[2]:
-                segment = _segment(entry, rhs, den, k, low, high[0])
+            # Row r's basic variable is u_r - z * den * falling_r over dens[r] * den.
+            u = [sum(map(mul, row, rest)) for row in entry.inverse]
+            falling = [-row[k] for row in entry.inverse]
+            r = _ratio_test(entry.basis, u, falling)
+            last = r < 0 or u[r] >= rhs[k] * falling[r]
+            hi = top if last else Fraction(u[r], den * falling[r])
+            if hi > lo:
+                segment = _segment(entry, rest, den, k, lo, hi)
                 _check_segment(self._cost, self._cost_den, rhs, den, k, segment, entry)
                 segments.append(segment)
-                high = low
-            if bottom:
+                lo = hi
+            if last:
                 break
-            following = entry.edges.get(r)
-            if following is None:
-                following = entry.edges[r] = self._edge(entry, r, low[0])
-            entry, values = following, None
-        if segments[0].slope != 0:
+            if r not in entry.edges:
+                entry.edges[r] = self._edge(entry, r, hi)
+            entry = entry.edges[r]
+        if segments[-1].slope != 0:
             raise RuntimeError("the swept row is not slack at the top")
-        segments.reverse()
         return segments
 
-    def _edge(self, entry: _Basis, r: int, lo: Fraction) -> _Basis:
+    def _root(self, k: int) -> _Basis:
+        """Row ``k``'s root, solved once with right-hand side 0 on row k and
+        1 on the others.  Row k is positive, so primal simplex pivots only in
+        it: the root is the other rows' slacks and a best column per unit of
+        row k, with B^-1 b = (b without row k, 0) >= 0 at z = 0 for every b."""
+        solution = solve(replace(
+            self._program, rhs=tuple(ZERO if i == k else Fraction(1)
+                                     for i in range(self._program.n_rows))))
+        if solution.status != OPTIMAL:
+            raise RuntimeError(f"cannot sweep a program that is {solution.status}")
+        t = solution._tableau
+        self._roots[k] = self._enter(t._replace(rows=[row[:-1] for row in t.rows]))
+        return self._roots[k]
+
+    def _edge(self, entry: _Basis, r: int, z: Fraction) -> _Basis:
         """The basis that row ``r``'s dual ratio test reaches from ``entry``
-        at ``lo``: the least label with the least |red_j / a_j| over
+        at ``z``: the least label with the least |red_j / a_j| over
         a_j < 0 enters, by an exchange on a copy of the entry's rows."""
         rows, labels = entry.rows, entry.labels
         red = rows[-1]
@@ -444,7 +439,7 @@ class BasisTable:
                     red[j] * best_a == best_d * a and label < labels[q])):
                 q, best_d, best_a = j, red[j], a
         if q < 0:
-            raise RuntimeError(f"no column can enter at {lo}, yet the origin is feasible")
+            raise RuntimeError(f"no column can enter at {z}, yet the origin is feasible")
         t = _Tableau([list(row) for row in rows], list(entry.dens), list(entry.basis),
                      list(labels), len(labels) + len(entry.basis), {})
         _exchange(t, r, q, labels[q], [row[q] for row in rows])
@@ -508,27 +503,24 @@ def _check_basis(work, cost, cost_den, entry: _Basis) -> None:
             raise RuntimeError(f"the dual misprices basic column {col}")
 
 
-def _basic_values(entry: _Basis, rhs: Sequence[int]) -> list[int]:
-    """B^-1 b for row i's right-hand side ``rhs[i] / den``: row r's basic
-    variable as a numerator over ``entry.dens[r] * den``."""
-    return [sum(map(mul, row, rhs)) for row in entry.inverse]
-
-
-def _segment(entry: _Basis, rhs, den, k, low, hi) -> Segment:
-    """Read the segment from a level (z, p, q), with t - z = p / q for the
-    top t, up to ``hi`` off a basis's table entry: its value y.b at z."""
+def _segment(entry: _Basis, rest, den, k, lo, hi) -> Segment:
+    """The segment from ``lo`` up to ``hi`` off a basis's table entry, when
+    row i's right-hand side is ``rest[i] / den`` except row k's, which is
+    z: its value y.b at lo and its slope y_k."""
     y = entry.y
-    z, p, q = low
-    value = Fraction(sum(map(mul, y, rhs)) * q - y[k] * p * den, entry.y_den * den * q)
-    return Segment(z, hi, value, entry.dual[k])
+    q = lo.denominator
+    value = Fraction(sum(map(mul, y, rest)) * q + y[k] * lo.numerator * den,
+                     entry.y_den * den * q)
+    return Segment(lo, hi, value, entry.dual[k])
 
 
 def _check_segment(cost, cost_den, rhs, den, k, segment, entry) -> None:
     """Certify a segment of a table basis that ``_check_basis`` passed,
     when row i's right-hand side is ``rhs[i] / den`` and row k's is z.
 
-    The slope must be y_k.  At each end z, x_B = B^-1 b is recomputed from
-    the right-hand side there and must be nonnegative, which with the
+    The slope must be y_k.  B^-1 b is recomputed from B^-1 and the other
+    rows' right-hand sides, and at each end z it is that plus z times the
+    column of row k's slack; it must be nonnegative there, which with the
     entry's checks gives feasibility, complementary slackness and strong
     duality at z.  The value must be c.x at lo, built through the
     structural basic rows' factors."""
@@ -536,12 +528,12 @@ def _check_segment(cost, cost_den, rhs, den, k, segment, entry) -> None:
     slope = segment.slope
     if slope.numerator * y_den != y[k] * slope.denominator:
         raise RuntimeError("segment slope is not the swept row's dual")
+    # B^-1 b without row k's part, row r over dens[r] * den.
+    fixed = [sum(map(mul, row, rhs)) - row[k] * rhs[k] for row in entry.inverse]
     for z in (segment.lo, segment.hi):
-        # b at z over den * q, so row r's basic variable is over dens[r] * den * q.
+        # Row r's basic variable at z, over dens[r] * den * q.
         q = z.denominator
-        b = [bi * q for bi in rhs]
-        b[k] = z.numerator * den
-        xs = _basic_values(entry, b)
+        xs = [v * q + row[k] * z.numerator * den for v, row in zip(fixed, entry.inverse)]
         if min(xs) < 0:
             raise RuntimeError(f"negative basic variable at z = {z}")
         if z == segment.lo:

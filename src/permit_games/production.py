@@ -9,10 +9,10 @@ coalition: R_S(z), its best sales revenue holding z permits, is concave and
 piecewise linear in z.  Every coalition's revenue program has the same
 matrix and prices and differs only in its right-hand side, the pooled
 stocks and the permits, so a situation keeps one ``lp.BasisTable`` for all
-of them.  A curve is that table's sweep of the permit row from a level
-where it is slack down to z = 0.  The sweep reuses the bases and pivots
-that earlier coalitions met, and it solves an LP only when no known basis
-is optimal at the top.  Each segment is certified before it is kept.  A
+of them.  A curve is that table's sweep of the permit row up from z = 0 to
+a level where it is slack.  Every permit use is positive, so every sweep
+starts at one root basis, the table's only LP, and follows the pivots that
+earlier coalitions took.  Each segment is certified before it is kept.  A
 revenue or a profit is read off the segment holding z as one integer
 numerator over one denominator, so each costs one Fraction, and the demand
 is the least maximiser of R_S(z) - tax * z.

@@ -159,6 +159,18 @@ def test_sweep_refuses_a_program_it_cannot_walk(monkeypatch):
             _sweep(lp.linear_program([1], rows), 1)
 
 
+def test_sweep_refuses_a_swept_row_that_is_not_positive():
+    # max x1 + x2 + 2 x3 s.t. x2 + x3 <= 2, x3 <= 1, x1 <= 3, x1 <= z.  The
+    # swept row misses x2 and x3, so the root, solved with 1 on the other
+    # rows, makes x3 = 1 with x2 leaving on a tie; at the real stocks its
+    # slack on x3 <= 1 is -1 at z = 0.  The sweep refuses, never a curve.
+    program = lp.linear_program([1, 1, 2], [
+        ([0, 1, 1], lp.LE, 2), ([0, 0, 1], lp.LE, 1), ([1, 0, 0], lp.LE, 3),
+        ([1, 0, 0], lp.LE, 5)])
+    with pytest.raises(RuntimeError, match="negative basic variable at z = 0"):
+        _sweep(program, 3)
+
+
 def test_a_ge_row_stores_no_artificial_column(monkeypatch):
     # The core program of a five-player game has 30 >= rows and no other;
     # each row's artificial is its negated surplus and is never stored.
