@@ -69,7 +69,8 @@ on the other rows, so the table calls ``solve`` once per swept row.  A dual
 simplex pivot is an exchange on a copy of the rows, as in ``solve``; among
 tied ratios the least label enters, as Bland's rule on the full rows would.
 Each pivot is stored as an edge of the basis it leaves, so it is taken and
-its new basis checked only once.
+its new basis checked only once, as is each swept row's column of B^-1.
+A breakpoint stays a pair of integers until it ends a segment.
 
 Every segment is certified by the exact-basis certificate (Dhiflaoui et
 al., SODA 2003; Applegate, Cook, Dash and Espinoza, Oper. Res. Letters 35,
@@ -79,8 +80,8 @@ columns are A_j for the basic structurals and e_i for the basic slacks, and
 that y prices every basic column at its cost.  With dual feasibility, every
 b with x_B = B^-1 b >= 0 then has A x + s = b, complementary slackness and
 c.x = y.b.  Once per segment only x_B >= 0 is left, recomputed from B^-1
-and the right-hand side at both ends; the segment's value must be c.x at
-its lower end and its slope y_k for the swept row k.
+and the right-hand side at both ends in one pass; the segment's value must
+be c.x at its lower end and its slope y_k for the swept row k.
 """
 
 from __future__ import annotations
@@ -322,14 +323,15 @@ class _Basis(NamedTuple):
     then the reduced costs c - yA, as integers over positive ``dens``; the
     column number stored in each slot; and the dual y = c_B B^-1 over
     ``y_den``, the reduced costs' denominator.  ``edges`` maps a leaving
-    row to the basis its dual simplex pivot reaches.  The rest is read once
-    the dual is checked feasible: B^-1, row r over ``dens[r]``, each
-    structural basic row with its factor to the ``common`` denominator of
-    those rows, and y as Fractions, which every segment on the basis shares
-    as its slope.  B^-1 and y are then checked to be an exact basis of the
-    declared rows (``_check_basis``; Dhiflaoui et al., SODA 2003; Applegate,
-    Cook, Dash and Espinoza, Oper. Res. Letters 35, 2007), so every
-    right-hand side b with B^-1 b >= 0 has the optimum they give."""
+    row to the basis its dual simplex pivot reaches, and ``falls[k]`` is
+    what the walks of row k read of its column (``_falling``).  The rest is
+    read once the dual is checked feasible: B^-1, row r over ``dens[r]``,
+    each structural basic row with its factor to the ``common`` denominator
+    of those rows, and y as Fractions, which every segment on the basis
+    shares as its slope.  B^-1 and y are then checked to be an exact basis
+    of the declared rows (``_check_basis``; Dhiflaoui et al., SODA 2003;
+    Applegate, Cook, Dash and Espinoza, Oper. Res. Letters 35, 2007), so
+    every right-hand side b with B^-1 b >= 0 has the optimum they give."""
 
     basis: tuple[int, ...]
     rows: list[list[int]]
@@ -338,6 +340,7 @@ class _Basis(NamedTuple):
     y: list[int]
     y_den: int
     edges: dict
+    falls: list
     inverse: Sequence[list[int]] = ()
     basic: Sequence[tuple[int, int, int]] = ()
     common: int = 1
@@ -376,6 +379,8 @@ class BasisTable:
         k's column of B^-1, is optimal up to the breakpoint -u_r / beta_r,
         least over beta_r < 0, and its edge at that row crosses it.  Ties
         follow Bland: the least basic index leaves, the least label enters.
+        u is computed only on the rows with beta_r < 0 (``_falling``), and a
+        breakpoint stays an integer pair until it ends a segment of positive length.
 
         Each basis entered the table with its B^-1 and dual checked as an
         exact basis of the rows (``_check_basis``), so a segment needs only
@@ -383,30 +388,32 @@ class BasisTable:
         side there; its value must be c.x at its lower end and its slope
         y_k (``_check_segment``).  A failure raises RuntimeError.
         """
-        if den <= 0 or any(b < 0 for b in rhs) or rhs[k] <= 0:
-            raise ValueError("sweep needs nonnegative right-hand sides and a positive one "
-                             "on the swept row")
+        m = len(self._work)
+        if len(rhs) != m or not 0 <= k < m or den <= 0 or any(b < 0 for b in rhs) or rhs[k] <= 0:
+            raise ValueError(f"sweep needs {m} nonnegative right-hand sides over a positive den "
+                             f"and a positive one on the swept row, which is in 0..{m - 1}")
         entry = self._roots.get(k) or self._root(k)
         rest = [0 if i == k else b for i, b in enumerate(rhs)]
-        top = Fraction(rhs[k], den)
         segments: list[Segment] = []
-        lo = ZERO
+        lo, lo_num, lo_den = ZERO, 0, 1
         while True:
+            rows, cols, falling = entry.falls[k] or _falling(entry, k)
             # Row r's basic variable is u_r - z * den * falling_r over dens[r] * den.
-            u = [sum(map(mul, row, rest)) for row in entry.inverse]
-            falling = [-row[k] for row in entry.inverse]
-            r = _ratio_test(entry.basis, u, falling)
-            last = r < 0 or u[r] >= rhs[k] * falling[r]
-            hi = top if last else Fraction(u[r], den * falling[r])
-            if hi > lo:
+            u = [sum(map(mul, entry.inverse[r], rest)) for r in rows]
+            i = _ratio_test(cols, u, falling)
+            last = i < 0 or u[i] >= rhs[k] * falling[i]
+            hi_num, hi_den = (rhs[k], den) if last else (u[i], den * falling[i])
+            if hi_num * lo_den > lo_num * hi_den:
+                hi = Fraction(hi_num, hi_den)
                 segment = _segment(entry, rest, den, k, lo, hi)
                 _check_segment(self._cost, self._cost_den, rhs, den, k, segment, entry)
                 segments.append(segment)
-                lo = hi
+                lo, lo_num, lo_den = hi, hi_num, hi_den
             if last:
                 break
+            r = rows[i]
             if r not in entry.edges:
-                entry.edges[r] = self._edge(entry, r, hi)
+                entry.edges[r] = self._edge(entry, r, Fraction(hi_num, hi_den))
             entry = entry.edges[r]
         if segments[-1].slope != 0:
             raise RuntimeError("the swept row is not slack at the top")
@@ -476,7 +483,7 @@ def _read_basis(t: _Tableau, n) -> _Basis:
     m = len(t.basis)
     reduced = dict(zip(t.labels, t.rows[m]))
     return _Basis(tuple(t.basis), t.rows, t.dens, t.labels,
-                  [-reduced.get(n + i, 0) for i in range(m)], t.dens[m], {})
+                  [-reduced.get(n + i, 0) for i in range(m)], t.dens[m], {}, [None] * m)
 
 
 def _check_basis(work, cost, cost_den, entry: _Basis) -> None:
@@ -514,35 +521,43 @@ def _segment(entry: _Basis, rest, den, k, lo, hi) -> Segment:
     return Segment(lo, hi, value, entry.dual[k])
 
 
+def _falling(entry: _Basis, k: int) -> tuple:
+    """The rows r where row ``k``'s column beta of B^-1 is negative, their
+    basic columns and -beta_r over dens[r], kept in ``entry.falls[k]``."""
+    rows = tuple(r for r, row in enumerate(entry.inverse) if row[k] < 0)
+    entry.falls[k] = (rows, tuple(entry.basis[r] for r in rows),
+                      tuple(-entry.inverse[r][k] for r in rows))
+    return entry.falls[k]
+
+
 def _check_segment(cost, cost_den, rhs, den, k, segment, entry) -> None:
     """Certify a segment of a table basis that ``_check_basis`` passed,
     when row i's right-hand side is ``rhs[i] / den`` and row k's is z.
 
-    The slope must be y_k.  B^-1 b is recomputed from B^-1 and the other
-    rows' right-hand sides, and at each end z it is that plus z times the
-    column of row k's slack; it must be nonnegative there, which with the
-    entry's checks gives feasibility, complementary slackness and strong
-    duality at z.  The value must be c.x at lo, built through the
+    The slope must be y_k.  One pass over B^-1 and the right-hand side
+    gives B^-1 b at both ends, which must be nonnegative; with the entry's
+    checks that gives feasibility, complementary slackness and strong
+    duality there.  The value must be c.x at lo, built through the
     structural basic rows' factors."""
-    y, y_den = entry.y, entry.y_den
-    slope = segment.slope
-    if slope.numerator * y_den != y[k] * slope.denominator:
+    lo, hi, value, slope = segment
+    if slope.numerator * entry.y_den != entry.y[k] * slope.denominator:
         raise RuntimeError("segment slope is not the swept row's dual")
-    # B^-1 b without row k's part, row r over dens[r] * den.
-    fixed = [sum(map(mul, row, rhs)) - row[k] * rhs[k] for row in entry.inverse]
-    for z in (segment.lo, segment.hi):
-        # Row r's basic variable at z, over dens[r] * den * q.
-        q = z.denominator
-        xs = [v * q + row[k] * z.numerator * den for v, row in zip(fixed, entry.inverse)]
-        if min(xs) < 0:
-            raise RuntimeError(f"negative basic variable at z = {z}")
-        if z == segment.lo:
-            # c.x over cost_den * common * den * q.
-            value = segment.value
-            objective = sum(cost[col] * xs[r] * factor for r, col, factor in entry.basic)
-            if (objective * value.denominator
-                    != value.numerator * cost_den * entry.common * den * q):
-                raise RuntimeError("primal objective differs from the reported value")
+    # Row r's basic variable at lo over dens[r] * den * p, at hi over dens[r] * den * q.
+    p, q = lo.denominator, hi.denominator
+    at_lo, at_hi, b_k = lo.numerator * den, hi.numerator * den, rhs[k]
+    xs, ends = [], []
+    for row in entry.inverse:
+        fixed = sum(map(mul, row, rhs)) - row[k] * b_k
+        xs.append(fixed * p + row[k] * at_lo)
+        ends.append(fixed * q + row[k] * at_hi)
+    if min(xs) < 0:
+        raise RuntimeError(f"negative basic variable at z = {lo}")
+    # c.x over cost_den * common * den * p.
+    objective = sum(cost[col] * xs[r] * factor for r, col, factor in entry.basic)
+    if objective * value.denominator != value.numerator * cost_den * entry.common * den * p:
+        raise RuntimeError("primal objective differs from the reported value")
+    if min(ends) < 0:
+        raise RuntimeError(f"negative basic variable at z = {hi}")
 
 
 def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -171,6 +171,36 @@ def test_sweep_refuses_a_swept_row_that_is_not_positive():
         _sweep(program, 3)
 
 
+@pytest.mark.parametrize("rhs, k", [
+    ([4, 4, 9, 1], 2),  # one right-hand side too many
+    ([4, 9], 1),  # one too few
+    ([4, 4, 9], -1),  # a swept row below 0
+    ([4, 4, 9], 3),  # a swept row past the last
+], ids=["long-rhs", "short-rhs", "row-below", "row-past"])
+def test_sweep_refuses_malformed_arguments_before_solving(monkeypatch, rhs, k):
+    # max x1 + x2 + x3 s.t. x1 + x2 <= 4, x2 + x3 <= 4, x1 + x3 <= 9.
+    program = lp.linear_program([1, 1, 1], [
+        ([1, 1, 0], lp.LE, 4), ([0, 1, 1], lp.LE, 4), ([1, 0, 1], lp.LE, 9)])
+    assert [s.hi for s in _sweep(program, 2)] == [8, 9]
+    monkeypatch.setattr(lp, "solve", lambda program: pytest.fail("solved"))
+    with pytest.raises(ValueError, match="sweep needs 3 nonnegative right-hand sides"):
+        lp.BasisTable(program.objective, program.rows).sweep(rhs, 1, k)
+
+
+def test_one_table_sweeps_two_rows_as_fresh_tables_do():
+    # max x1 + x2 s.t. x1 + 2 x2 <= b1, 2 x1 + x2 <= b2.  Either row swept
+    # from 0 with 6 on the other reaches the basis {x1, x2} at z = 3, where
+    # their columns of B^-1 differ: x1 falls as b1 rises, x2 as b2 does.
+    program = lp.linear_program([1, 1], [([1, 2], lp.LE, 13), ([2, 1], lp.LE, 13)])
+    curve = [lp.Segment(0, 3, 0, 1), lp.Segment(3, 12, 3, F(1, 3)), lp.Segment(12, 13, 6, 0)]
+    table = lp.BasisTable(program.objective, program.rows)
+    for k in (0, 1, 0, 1):
+        rhs = [13 if i == k else 6 for i in range(2)]
+        assert lp.BasisTable(program.objective, program.rows).sweep(rhs, 1, k) == curve
+        assert table.sweep(rhs, 1, k) == curve
+    assert sorted(table._bases) == [(0, 1), (0, 3), (1, 2)]
+
+
 def test_a_ge_row_stores_no_artificial_column(monkeypatch):
     # The core program of a five-player game has 30 >= rows and no other;
     # each row's artificial is its negated surplus and is never stored.

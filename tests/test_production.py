@@ -265,11 +265,29 @@ def _sweep_economies():
                                    sit.prices, sit.tax, sit.cap)
 
 
-def test_revenue_curves_match_the_per_permit_and_two_stage_oracles():
-    kinks = 0
-    for sit in _sweep_economies():
+def test_revenue_curves_match_the_per_permit_and_two_stage_oracles(monkeypatch):
+    # A walk step is a ratio test outside ``solve``; one whose breakpoint
+    # does not pass the last one, a degenerate pivot, gives no segment.
+    tests = [0, 0]  # ratio tests, and those inside solve
+
+    def ratio_test(*args):
+        tests[0] += 1
+        return _REAL_RATIO_TEST(*args)
+
+    def solve(program):
+        before = tests[0]
+        solution = _REAL_SOLVE(program)
+        tests[1] += tests[0] - before
+        return solution
+
+    monkeypatch.setattr(lp, "_ratio_test", ratio_test)
+    monkeypatch.setattr(lp, "solve", solve)
+    kinks = segment_count = 0
+    for sit in [*_sweep_economies(), *_tied_economies()]:
         for fs in lex_coalitions(sit.firms()):
             segments = production._curve(sit, fs)
+            segment_count += len(segments)
+            assert all(s.lo < s.hi for s in segments)
             assert segments[0].lo == 0
             assert [s.hi for s in segments[:-1]] == [s.lo for s in segments[1:]]
             assert segments[-1].slope == 0
@@ -288,6 +306,7 @@ def test_revenue_curves_match_the_per_permit_and_two_stage_oracles():
                 expected = support.oracle_optimum(_revenue_program(sit, grand, z))
                 assert production_revenue(sit, grand, z) == expected
     assert kinks > 100
+    assert tests[0] - tests[1] - segment_count == 65
 
 
 def test_two_basic_variables_reach_zero_at_one_breakpoint():
@@ -423,6 +442,7 @@ def test_a_table_entry_stores_one_slot_per_declared_variable(monkeypatch):
 
 
 _REAL_SEGMENT = lp._segment
+_REAL_RATIO_TEST = lp._ratio_test
 _REAL_READ_BASIS = lp._read_basis
 _REAL_SOLVE = lp.solve
 _REAL_SWEEP = lp.BasisTable.sweep
@@ -516,8 +536,16 @@ def _raise_dual(entry):
     entry.dual[:] = [yi + 1 for yi in entry.dual]
 
 
+def _raise_falling(entry):
+    # Every row's cached column claims twice its fall, so each breakpoint
+    # comes at half its z.
+    for k in range(len(entry.basis)):
+        rows, cols, falling = lp._falling(entry, k)
+        entry.falls[k] = (rows, cols, tuple(2 * a for a in falling))
+
+
 # Corruptions of what a table entry caches after it is checked.
-CACHED_CORRUPTIONS = [_raise_factors, _raise_inverse, _raise_dual]
+CACHED_CORRUPTIONS = [_raise_factors, _raise_inverse, _raise_dual, _raise_falling]
 
 
 def _corrupt_cached(patch, corrupt):
