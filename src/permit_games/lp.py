@@ -16,13 +16,15 @@ artificial per row that is not ``<=``.  Inside is the condensed tableau
 at the nonbasic columns, one slot per nonbasic variable, labelled by the
 column number it stores, then the right-hand side.  Each row, and the row
 of reduced costs, is a list of Python ``int`` numerators over one positive
-per-row denominator, kept in lowest terms by a gcd after every update
-(integer-preserving elimination in the spirit of Edmonds 1967 and Bareiss
-1968).  A pivot on (row r, slot q) is an exchange: the leaving variable
-takes slot q, row r's entry there set to its own denominator and every
-other row's to 0, and each row is then reduced as in the full tableau,
-where only the nonzero slots of the pivot row change unless a row's
-denominator must grow.
+per-row denominator, kept in lowest terms by a gcd after every update that
+leaves it over more than 1 (integer-preserving elimination in the spirit of
+Edmonds 1967 and Bareiss 1968).  Those keep numbers small only on integer
+data, so b is pivoted in one integer unit, the lcm of its denominators, and
+a row's denominator comes from its coefficients alone.  A pivot on (row r,
+slot q) is an exchange: the leaving variable takes slot q, row r's entry
+there set to its own denominator and every other row's to 0, and each row
+is then reduced as in the full tableau, where only the nonzero slots of the
+pivot row change unless a row's denominator must grow.
 
 A ``>=`` row starts with -1 in its surplus column and +1 in its artificial
 one and every pivot acts on columns linearly, so the artificial is the
@@ -45,7 +47,8 @@ and, in phase 1, then the least artificial.  The ratio test compares
 rhs_i / a_i by cross-multiplication, in which the row denominators cancel,
 and breaks ties toward the smaller basic column number.  Every decision
 compares the same rationals as Fractions with every column stored would,
-so the pivot sequence, the final basis, the primal and the dual are too.
+and one positive scale of b keeps every ratio's order, so the pivot
+sequence, the final basis, the primal and the dual are too.
 
 Every optimum is certified before it is returned: primal feasibility,
 complementary slackness, strong duality and dual feasibility, the last
@@ -235,10 +238,15 @@ class _Tableau(NamedTuple):
 
 
 def solve(lp: LinearProgram) -> LpSolution:
-    """Solve ``lp`` exactly; returns status optimal/infeasible/unbounded."""
+    """Solve ``lp`` exactly; returns status optimal/infeasible/unbounded.
+
+    b is pivoted as integers b * unit, ``unit`` the lcm of its denominators,
+    and the primal read out over it; the certificate checks the declared b."""
     n = lp.n_vars
     m = lp.n_rows
-    work = [_std_row(*row) for row in zip(lp.rows, lp.rhs, lp.senses)]
+    unit = lcm(*(b.denominator for b in lp.rhs))
+    work = [_std_row(coeffs, b * unit, sense)
+            for coeffs, b, sense in zip(lp.rows, lp.rhs, lp.senses)]
 
     slack_col: list[int] = [-1] * m
     next_col = n
@@ -280,7 +288,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     primal = [ZERO] * n
     for i in range(m):
         if basis[i] < n:
-            primal[basis[i]] = Fraction(rows[i][n], dens[i])
+            primal[basis[i]] = Fraction(rows[i][n], dens[i] * unit)
     objective_value = sum(
         (cj * xj for cj, xj in zip(lp.objective, primal)), ZERO)
 
@@ -302,7 +310,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     xs, x_den = _integer_row(solution.primal)
     weights, scale = _check_dual(work, obj, obj_den, y, red_den)
     _check_points(work, obj, obj_den, y, weights, scale,
-                  [([row.rhs for row in work], 1, xs, x_den)])
+                  [([row.rhs for row in work], unit, xs, x_den)])
     _check_value(objective_value, obj, obj_den, xs, x_den)
     return solution
 
@@ -430,8 +438,11 @@ class BasisTable:
         if solution.status != OPTIMAL:
             raise RuntimeError(f"cannot sweep a program that is {solution.status}")
         t = solution._tableau
-        self._roots[k] = self._enter(t._replace(rows=[row[:-1] for row in t.rows]))
-        return self._roots[k]
+        known = self._bases.get(tuple(sorted(t.basis)))  # another row's walk may have entered it
+        if known is None:
+            known = self._enter(t._replace(rows=[row[:-1] for row in t.rows]))
+        self._roots[k] = known
+        return known
 
     def _edge(self, entry: _Basis, r: int, z: Fraction) -> _Basis:
         """The basis that row ``r``'s dual ratio test reaches from ``entry``
@@ -697,7 +708,7 @@ def _eliminate(row, den, entry, prow, pden, support) -> int:
 
     Only the nonzero columns ``support`` of the pivot row change, unless
     the new denominator scales the whole row.  Returns the new denominator
-    after the row is reduced to lowest terms.
+    after the row is reduced to lowest terms, which a row over 1 is.
     """
     g = gcd(entry, pden)
     scale, factor = pden // g, entry // g
@@ -706,7 +717,7 @@ def _eliminate(row, den, entry, prow, pden, support) -> int:
         den *= scale
     for j in support:
         row[j] -= factor * prow[j]
-    g = gcd(den, *row)
+    g = gcd(den, *row) if den != 1 else 1
     if g != 1:
         row[:] = [a // g for a in row]
         den //= g

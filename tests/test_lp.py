@@ -1,5 +1,7 @@
 """Solver behaviour pinned against hand examples and the enumeration oracle."""
 
+import dataclasses
+import math
 import os
 import random
 import subprocess
@@ -187,18 +189,30 @@ def test_sweep_refuses_malformed_arguments_before_solving(monkeypatch, rhs, k):
         lp.BasisTable(program.objective, program.rows).sweep(rhs, 1, k)
 
 
-def test_one_table_sweeps_two_rows_as_fresh_tables_do():
+def test_one_table_sweeps_two_rows_as_fresh_tables_do(monkeypatch):
     # max x1 + x2 s.t. x1 + 2 x2 <= b1, 2 x1 + x2 <= b2.  Either row swept
     # from 0 with 6 on the other reaches the basis {x1, x2} at z = 3, where
     # their columns of B^-1 differ: x1 falls as b1 rises, x2 as b2 does.
+    # Row 1's root {x2, s1} is the basis that row 0's walk reaches at
+    # z = 12, so the shared table finds it known: each basis enters once.
     program = lp.linear_program([1, 1], [([1, 2], lp.LE, 13), ([2, 1], lp.LE, 13)])
     curve = [lp.Segment(0, 3, 0, 1), lp.Segment(3, 12, 3, F(1, 3)), lp.Segment(12, 13, 6, 0)]
     table = lp.BasisTable(program.objective, program.rows)
+    entered = []
+    real = lp.BasisTable._enter
+
+    def counting(self, t):
+        if self is table:
+            entered.append(tuple(sorted(t.basis)))
+        return real(self, t)
+
+    monkeypatch.setattr(lp.BasisTable, "_enter", counting)
     for k in (0, 1, 0, 1):
         rhs = [13 if i == k else 6 for i in range(2)]
         assert lp.BasisTable(program.objective, program.rows).sweep(rhs, 1, k) == curve
         assert table.sweep(rhs, 1, k) == curve
     assert sorted(table._bases) == [(0, 1), (0, 3), (1, 2)]
+    assert sorted(entered) == sorted(table._bases)
 
 
 def test_a_ge_row_stores_no_artificial_column(monkeypatch):
@@ -230,6 +244,70 @@ def test_a_ge_row_stores_no_artificial_column(monkeypatch):
     assert sol.status == lp.OPTIMAL
     assert ((sol.objective_value, sol.primal, sol.dual)
             == (expected.objective_value, expected.primal, expected.dual))
+
+
+def _solve_tracing(program: lp.LinearProgram):
+    """``lp.solve``'s solution, its (row, column number) pivots in order and
+    the row denominators after each."""
+    pivots, dens_after = [], []
+    real = lp._pivot
+
+    def recording(rows, dens, basis, pr, pc, *rest):
+        real(rows, dens, basis, pr, pc, *rest)
+        pivots.append((pr, pc))
+        dens_after.append(list(dens))
+
+    lp._pivot = recording
+    try:
+        return lp.solve(program), pivots, dens_after
+    finally:
+        lp._pivot = real
+
+
+def _core_programs_with_fractional_worths():
+    """The core programs of seeded 4- and 5-firm derived games under CEA
+    whose right-hand sides are not all integers."""
+    from permit_games import stability
+    from permit_games.bankruptcy import CEA
+    from permit_games.partition_games import (
+        MINUS, PLUS, build_game, optimistic_game, pessimistic_game, resource_game)
+
+    rng = random.Random(29)
+    for n_firms in (4, 4, 4, 5, 5):
+        sit = None
+        while sit is None:
+            sit = support.scarce_situation(rng, n_firms=n_firms)
+        game = build_game(sit, CEA)
+        for derived in (optimistic_game(game), pessimistic_game(game),
+                        resource_game(game, PLUS), resource_game(game, MINUS)):
+            program = stability._core_program(derived)[1]
+            if any(b.denominator > 1 for b in program.rhs):
+                yield program
+
+
+def test_the_unit_of_b_changes_no_pivot():
+    # Every ratio test compares b_i / a_i, which one positive scale of b
+    # keeps, so b, 2 b, 7 b and L b pivot alike, L the lcm of b's
+    # denominators, and x and c.x scale with b while y does not.  b is
+    # pivoted in its unit, so b and L b pivot on the same integers.
+    rng = random.Random(29)
+    programs = [support.rand_bounded_program(rng) for _ in range(60)]
+    programs += _core_programs_with_fractional_worths()
+    fractional = 0
+    for program in programs:
+        unit = math.lcm(*(b.denominator for b in program.rhs))
+        fractional += unit > 1
+        solution, pivots, dens = _solve_tracing(program)
+        for k in (2, 7, unit):
+            scaled = dataclasses.replace(program, rhs=tuple(b * k for b in program.rhs))
+            other, other_pivots, other_dens = _solve_tracing(scaled)
+            assert (other.status, other_pivots) == (solution.status, pivots), program
+            if solution.status == lp.OPTIMAL:
+                assert other.primal == tuple(x * k for x in solution.primal)
+                assert other.dual == solution.dual
+                assert other.objective_value == solution.objective_value * k
+        assert other_dens == dens, program
+    assert fractional >= 40
 
 
 _REAL_RUN_SIMPLEX = lp._run_simplex
@@ -289,12 +367,35 @@ def test_self_check_rejects_a_negative_primal(monkeypatch):
         lp.solve(NEGATIVE_PIVOT)
 
 
+# max x s.t. x <= 5/2, pivoted as x <= 5 in its unit 1/2.
+HALVES = lp.linear_program([1], [([1], lp.LE, F(5, 2))])
+
+
+def _forget_the_unit(t, cost, cost_den, phase1):
+    """A broken kernel that doubles every right-hand side, so the read-out
+    returns x = 5 as one that does not divide by the unit 2 would."""
+    bounded = _REAL_RUN_SIMPLEX(t, cost, cost_den, phase1)
+    for row in t.rows[:-1]:
+        row[-1] *= 2
+    return bounded
+
+
+def test_self_check_rejects_a_primal_in_the_pivoted_unit(monkeypatch):
+    # x = 5 with dual 1 meets the pivoted row x <= 5, complementary
+    # slackness, strong duality and dual feasibility; only the declared
+    # right-hand side 5/2 refuses it.
+    assert lp.solve(HALVES).primal == (F(5, 2),)
+    monkeypatch.setattr(lp, "_run_simplex", _forget_the_unit)
+    with pytest.raises(RuntimeError, match="infeasible primal"):
+        lp.solve(HALVES)
+
+
 def test_self_check_holds_under_python_O():
     script = """
 import sys
 from permit_games import lp
 import test_lp
-for kernel, program in test_lp.BROKEN_KERNELS:
+for kernel, program in [*test_lp.BROKEN_KERNELS, (test_lp._forget_the_unit, test_lp.HALVES)]:
     lp._run_simplex = kernel
     try:
         lp.solve(program)
@@ -309,4 +410,5 @@ print("optimize", sys.flags.optimize)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[-1] == "optimize 1"
-    assert len(lines) == 3 and all("not optimal" in line for line in lines[:2])
+    assert len(lines) == 4 and all("not optimal" in line for line in lines[:2])
+    assert "infeasible primal" in lines[2]
