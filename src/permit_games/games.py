@@ -9,11 +9,10 @@ from typing import Iterable, Mapping
 
 def lex_coalitions(players: Iterable[int]) -> list[frozenset[int]]:
     """Every nonempty coalition, ordered lexicographically by sorted members."""
-    members = sorted(players)
-    out = []
-    for mask in range(1, 1 << len(members)):
-        out.append(frozenset(members[i] for i in range(len(members)) if mask & (1 << i)))
-    out.sort(key=lambda s: tuple(sorted(s)))
+    out: list[frozenset[int]] = []
+    for m in sorted(players, reverse=True):  # {m}, m with each later coalition, then those
+        single = frozenset((m,))
+        out = [single, *(single | s for s in out), *out]
     return out
 
 
@@ -30,6 +29,10 @@ class CharacteristicGame:
             raise ValueError(
                 f"game over {len(self.players)} players needs {expected} coalition "
                 f"values, got {len(self.values)}")
+        everyone = frozenset(self.players)  # with the count, this pins every key
+        for fs in self.values:
+            if not fs or not fs <= everyone:
+                raise ValueError(f"coalition {sorted(fs)} is not a nonempty subset of the players")
 
     def value(self, members: Iterable[int]) -> Fraction:
         key = frozenset(members)

@@ -245,7 +245,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     n = lp.n_vars
     m = lp.n_rows
     unit = lcm(*(b.denominator for b in lp.rhs))
-    work = [_std_row(coeffs, b * unit, sense)
+    work = [_std_row(coeffs, b.numerator * (unit // b.denominator), sense)
             for coeffs, b, sense in zip(lp.rows, lp.rhs, lp.senses)]
 
     slack_col: list[int] = [-1] * m

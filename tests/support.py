@@ -10,11 +10,14 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from permit_games import lp
 from permit_games.games import CharacteristicGame
+from permit_games.partitions import enumerate_partitions
 from permit_games.production import Situation
+from permit_games.stability import CoreCertificate, CoreMembership
 
 F = Fraction
 
@@ -250,3 +253,46 @@ def bankruptcy_game(problem: Rationing) -> CharacteristicGame:
         outside = total - sum((problem.claims[i - 1] for i in inside), F(0))
         values[inside] = max(problem.estate - outside, F(0))
     return CharacteristicGame(players=players, values=values)
+
+
+def reference_over_claiming(game: CharacteristicGame):
+    """The first partition, in enumeration order, whose blocks' worths exceed
+    the grand value by the most, as a certificate; None when no partition
+    over-claims.  Every partition is scanned, its worths summed as integers
+    over their common denominator, one per block of player positions."""
+    players, n = game.players, len(game.players)
+    position = {p: i for i, p in enumerate(players, start=1)}
+    den = lcm(*(v.denominator for v in game.values.values()))
+    worth = {tuple(sorted(position[p] for p in fs)): v.numerator * (den // v.denominator)
+             for fs, v in game.values.items()}
+    best_partition, best_total = None, worth[tuple(range(1, n + 1))]
+    for partition in enumerate_partitions(n):
+        total = sum(map(worth.__getitem__, partition))
+        if total > best_total:
+            best_partition, best_total = partition, total
+    if best_partition is None:
+        return None
+    return CoreCertificate(
+        kind="partition",
+        parts=tuple((frozenset(players[i - 1] for i in block), F(1)) for block in best_partition),
+        weighted_total=F(best_total, den), grand_value=game.grand_value)
+
+
+def reference_membership(game: CharacteristicGame, allocation) -> CoreMembership:
+    """Core membership in Fraction sums: efficiency first, then the first
+    proper coalition, by sorted members, that gets less than its worth."""
+    x = tuple(F(v) for v in allocation)
+    total, grand = sum(x, F(0)), game.grand_value
+    if total != grand:
+        return CoreMembership(ok=False, efficiency_ok=False, total=total, grand_value=grand)
+    members = sorted(game.players)
+    by_player = dict(zip(game.players, x))
+    for coalition in sorted(
+            (c for k in range(1, len(members)) for c in itertools.combinations(members, k))):
+        got = sum((by_player[p] for p in coalition), F(0))
+        need = game.values[frozenset(coalition)]
+        if got < need:
+            return CoreMembership(
+                ok=False, efficiency_ok=True, total=total, grand_value=grand,
+                violated=frozenset(coalition), coalition_total=got, coalition_value=need)
+    return CoreMembership(ok=True, efficiency_ok=True, total=total, grand_value=grand)

@@ -250,6 +250,109 @@ def test_over_claiming_scan_matches_the_fraction_scan(rule, example3):
     assert found >= 10 and tied >= 5
 
 
+def _seeded_derived_games(rule, seed, sizes):
+    rng = random.Random(seed)
+    games = []
+    for n_firms in sizes:
+        sit = None
+        while sit is None:
+            sit = support.scarce_situation(rng, n_firms=n_firms)
+        games += _derived_games(build_game(sit, rule))
+    return games
+
+
+def _tied_integer_game(rng, players):
+    """Integer worths drawn from a few values near the members' count, so
+    that many partitions reach the same total."""
+    return CharacteristicGame(players=players, values={
+        fs: F(len(fs) + rng.randint(-1, 1)) for fs in lex_coalitions(players)})
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_over_claiming_recursion_matches_the_scan_on_derived_games(rule):
+    games = _seeded_derived_games(rule, RULES.index(rule) + 110, range(2, 8))
+    found = 0
+    for game in games:
+        expected = support.reference_over_claiming(game)
+        assert stability._over_claiming_partition(game) == expected
+        found += expected is not None
+    assert found >= 4
+
+
+def test_over_claiming_recursion_matches_the_scan_on_tied_games():
+    rng = random.Random(130)
+    found = 0
+    for k in range(1500):
+        n = 2 + k % 6
+        players = tuple(range(1, n + 1)) if k % 3 else tuple(rng.sample(range(1, 20), n))
+        game = _tied_integer_game(rng, players)
+        expected = support.reference_over_claiming(game)
+        assert stability._over_claiming_partition(game) == expected
+        found += expected is not None
+    assert 500 <= found < 1500
+
+
+def test_over_claiming_recursion_matches_the_scan_at_ten_players():
+    game = _tied_integer_game(random.Random(131), tuple(range(1, 11)))
+    expected = support.reference_over_claiming(game)
+    assert expected is not None
+    assert stability._over_claiming_partition(game) == expected
+    assert core_nonempty(game) == CoreVerdict(nonempty=False, certificate=expected)
+    assert not hasattr(stability, "enumerate_partitions")
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_integer_membership_matches_the_fraction_reference(rule):
+    rng = random.Random(RULES.index(rule) + 140)
+    games = _seeded_derived_games(rule, RULES.index(rule) + 150, (2, 3, 4, 5))
+    games += [_small_worth_game(rng, (3, 1, 4)) for _ in range(4)]
+    outcomes = set()
+    for game in games:
+        n, grand = len(game.players), game.grand_value
+        verdict = core_nonempty(game)
+        allocations = [[grand / n] * n, [F(rng.randint(0, 9), rng.choice((1, 2, 3)))
+                                         for _ in range(n)]]
+        for _ in range(3):  # efficient, and mostly violating some coalition
+            shares = [F(rng.randint(0, 6), rng.choice((1, 2, 7))) for _ in range(n)]
+            shares[-1] += grand - sum(shares)
+            allocations.append(shares)
+        if verdict.nonempty:
+            allocations.append(verdict.witness)
+        for x in allocations:
+            got = in_core(game, x)
+            assert got == support.reference_membership(game, x)
+            outcomes.add("in" if got.ok else "violated" if got.efficiency_ok else "inefficient")
+    assert outcomes == {"in", "violated", "inefficient"}
+
+
+def _sorted_lex_coalitions(players):
+    members = sorted(players)
+    subsets = [frozenset(members[i] for i in range(len(members)) if mask >> i & 1)
+               for mask in range(1, 1 << len(members))]
+    return sorted(subsets, key=lambda s: tuple(sorted(s)))
+
+
+@pytest.mark.parametrize("players", [
+    *(tuple(range(1, n + 1)) for n in range(1, 9)),
+    (3, 1, 2), (9, 4, 7, 1), (12, 2, 30, 5, 8)])
+def test_lex_coalitions_is_the_sorted_order(players):
+    assert lex_coalitions(players) == _sorted_lex_coalitions(players)
+
+
+@pytest.mark.parametrize("players, stray", [
+    ((1, 2), (1, 3)),
+    ((1, 2, 3), (1, 2, 3, 4)),
+    ((1, 2), ()),
+])
+def test_a_game_with_a_stray_coalition_is_refused(players, stray):
+    """The right number of worths, one of them for a coalition that is not
+    a nonempty subset of the players in place of the grand coalition."""
+    values = {fs: F(1) for fs in lex_coalitions(players) if fs != frozenset(players)}
+    values[frozenset(stray)] = F(2)
+    with pytest.raises(ValueError, match=rf"^coalition \[{', '.join(map(str, stray))}\] is not"):
+        CharacteristicGame(players=players, values=values)
+
+
 def _flip_dual_signs(patch):
     """Core LPs whose duals come back negated: a balanced certificate with
     negative weights."""
