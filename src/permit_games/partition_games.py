@@ -3,10 +3,12 @@
 For every coalition structure the blocks claim their optimal permit demands
 and ``bankruptcy.ration`` serves them in full under the cap or rations them
 by the announced rule.  The demands and the cap are scaled once per game
-into one integer unit, so every structure is rationed in integers, and a
-Fraction award and its profit are built once per distinct (block, award).
-Block profits then depend on the whole structure, which is exactly where
-the externalities live.
+into one integer unit, so every structure is rationed in integers.  Each of
+the 2^n - 1 coalitions has one record, found by the sorted block tuple the
+structures already hold: its frozenset, its claim in units, one Fraction
+share and profit per distinct award, and its extreme awards.  Every cell of
+a coalition is keyed by that one frozenset.  Block profits then depend on
+the whole structure, which is exactly where the externalities live.
 
 Every derived game (optimistic, pessimistic, best- and worst-case permit
 games) is read off each coalition's extremal shares.  An award never
@@ -52,9 +54,6 @@ class PartitionGame:
     def players(self) -> tuple[int, ...]:
         return self.situation.firms()
 
-    def demand(self, members: Iterable[int]) -> Fraction:
-        return self.demands[frozenset(members)]
-
     def share(self, members: Iterable[int], partition: Partition) -> Fraction:
         return self.shares[frozenset(members), partition]
 
@@ -72,54 +71,54 @@ class PartitionGame:
 
 def build_game(sit: Situation, rule: str) -> PartitionGame:
     """Tabulate permit shares and block profits for every coalition structure,
-    all Bell(n) of them: keeping the firm count n feasible is the caller's job."""
+    all Bell(n) of them: keeping the firm count n feasible is the caller's job.
+    Each block costs one lookup of its coalition's record, and every cell is
+    keyed by the record's frozenset, the one keying ``demands``."""
     rule = bankruptcy.check_rule(rule)
     partitions = enumerate_partitions(sit.n_firms)
     demands = {fs: optimal_demand(sit, fs) for fs in lex_coalitions(sit.firms())}
     # Claims and cap in one integer unit, 1/scale permits, for every structure.
     scale = lcm(sit.cap.denominator, *(d.denominator for d in demands.values()))
-    claims = {fs: d.numerator * (scale // d.denominator) for fs, d in demands.items()}
     cap = sit.cap.numerator * (scale // sit.cap.denominator)
+    # sorted block -> [coalition, claim in units, {reduced award in units as
+    # (num, den): (share, profit)}, least and largest award as (num, den,
+    # first structure giving it, cell)], coalitions in lex order
+    records = {tuple(sorted(fs)): [fs, d.numerator * (scale // d.denominator), {}, None, None]
+               for fs, d in demands.items()}
     shares: dict[tuple[frozenset[int], Partition], Fraction] = {}
     values: dict[tuple[frozenset[int], Partition], Fraction] = {}
-    # One (share, profit) per distinct (block, award), keyed by the award in
-    # units as a reduced numerator and denominator.
-    cells: dict[tuple[frozenset[int], int, int], tuple[Fraction, Fraction]] = {}
-    # coalition -> (award in units as num, den; first structure giving it; cell)
-    least: dict[frozenset[int], tuple] = {}
-    largest: dict[frozenset[int], tuple] = {}
     for partition in partitions:
-        blocks = [frozenset(b) for b in partition]
-        nums, den = bankruptcy.ration(rule, [claims[b] for b in blocks], cap)
-        for block, a in zip(blocks, nums):
+        blocks = [records[b] for b in partition]
+        nums, den = bankruptcy.ration(rule, [r[1] for r in blocks], cap)
+        for record, a in zip(blocks, nums):
+            fs, _, cells, low, high = record
             g = gcd(a, den)
             a, d = a // g, den // g
-            key = block, a, d
-            cell = cells.get(key)
+            cell = cells.get((a, d))
             if cell is None:
                 award = Fraction(a, d * scale)
-                cell = cells[key] = award, coalition_value(sit, block, award)
-                # an award seen before for this block is no new extreme
+                cell = cells[a, d] = award, coalition_value(sit, fs, award)
+                # an award seen before for this coalition is no new extreme
                 extreme = a, d, partition, cell
-                low = least.get(block)
                 if low is None:
-                    least[block] = largest[block] = extreme
+                    record[3] = record[4] = extreme
                 elif a * low[1] < low[0] * d:
-                    least[block] = extreme
-                elif a * largest[block][1] > largest[block][0] * d:
-                    largest[block] = extreme
-            shares[block, partition], values[block, partition] = cell
-    for fs, demand in demands.items():
-        (low, worst), (high, best) = least[fs][3], largest[fs][3]
-        if high > demand or worst > best:
+                    record[3] = extreme
+                elif a * high[1] > high[0] * d:
+                    record[4] = extreme
+            key = fs, partition
+            shares[key], values[key] = cell
+    for fs, claim, _, low, high in records.values():
+        (least_share, worst), (largest_share, best) = low[3], high[3]
+        if high[0] > claim * high[1] or worst > best:
             raise RuntimeError(
                 f"coalition {sorted(fs)}: profit is not increasing in its share "
-                f"up to its demand {demand} (shares {low}..{high})")
+                f"up to its demand {demands[fs]} (shares {least_share}..{largest_share})")
     return PartitionGame(
         situation=sit, rule=rule, partitions=partitions, demands=demands,
         shares=shares, values=values,
-        least={fs: least[fs][2] for fs in demands},
-        largest={fs: largest[fs][2] for fs in demands})
+        least={fs: low[2] for fs, _, _, low, _ in records.values()},
+        largest={fs: high[2] for fs, _, _, _, high in records.values()})
 
 
 def pessimistic_game(game: PartitionGame) -> CharacteristicGame:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from permit_games import bankruptcy, cli, partition_games
-from permit_games.bankruptcy import RULES
+from permit_games.bankruptcy import CEA, PROP, RULES
 from permit_games.games import lex_coalitions
 from permit_games.partition_games import (
     MINUS,
@@ -23,7 +23,7 @@ from permit_games.partition_games import (
     resource_witnesses,
 )
 from permit_games.partitions import enumerate_partitions
-from permit_games.production import coalition_value, optimal_demand
+from permit_games.production import Situation, coalition_value, optimal_demand
 
 import support
 
@@ -156,7 +156,7 @@ def test_permit_conservation(cea_game, prop_game):
     for game in (cea_game, prop_game):
         for partition in game.partitions:
             total = sum(game.share(block, partition) for block in partition)
-            claimed = sum(game.demand(block) for block in partition)
+            claimed = sum(game.demands[frozenset(block)] for block in partition)
             assert total == min(game.situation.cap, claimed)
 
 
@@ -204,11 +204,11 @@ def test_full_award_means_structure_independent_value():
         individual = [support.rand_fraction(rng, 1, 3)]  # keep rng moving
         for rule in RULES:
             game = build_game(sit, rule)
-            if sum(game.demand({i}) for i in (1, 2, 3)) < sit.cap:
+            if sum(game.demands[frozenset({i})] for i in (1, 2, 3)) < sit.cap:
                 continue
             minus = resource_game(game, MINUS)
             for fs in minus.coalitions():
-                if minus.values[fs] == game.demand(fs):
+                if minus.values[fs] == game.demands[fs]:
                     values = {game.value(fs, p) for p in _containing(game, fs)}
                     assert len(values) == 1
 
@@ -277,16 +277,26 @@ def _allocate_per_structure(sit, rule):
     return demands, shares, values, least, largest
 
 
+def _identical_firms(n_firms):
+    """An economy of identical firms: a coalition's award depends only on the
+    block sizes of the structure, so many structures tie on each extreme."""
+    sit = Situation.create(production=[[1, 2], [1, 1]], endowments=[[6] * n_firms],
+                           prices=[4, 7], tax=2, cap=1)
+    return dataclasses.replace(sit, cap=optimal_demand(sit, sit.firms()) / 2)
+
+
 @pytest.mark.parametrize("rule", RULES)
 def test_build_game_matches_the_per_structure_oracle(rule):
     rng = random.Random(RULES.index(rule) + 60)
     situations = []
-    for n_firms in range(1, 7):
+    for n_firms in range(1, 8 if rule in (CEA, PROP) else 7):
         sit = None
         while sit is None:
             sit = support.scarce_situation(rng, n_firms=n_firms)
         situations.append(sit)
     situations.append(dataclasses.replace(situations[3], cap=situations[3].cap * 100))
+    identical = _identical_firms(5)
+    situations.append(identical)
     for sit in situations:
         game = build_game(sit, rule)
         demands, shares, values, least, largest = _allocate_per_structure(sit, rule)
@@ -294,6 +304,24 @@ def test_build_game_matches_the_per_structure_oracle(rule):
         assert game.shares == shares and game.values == values
         assert game.least == least and game.largest == largest
         assert list(game.least) == list(game.largest) == list(demands)
+        assert list(game.shares) == list(shares) and list(game.values) == list(values)
+        if sit is identical:  # the ties the first-structure rule must break
+            single = [p for p in game.partitions if (1,) in p]
+            assert len({game.shares[frozenset({1}), p] for p in single}) < len(single) - 1
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_every_cell_of_a_coalition_is_keyed_by_its_demands_key(rule):
+    rng = random.Random(RULES.index(rule) + 80)
+    for n_firms in range(1, 7):
+        sit = None
+        while sit is None:
+            sit = support.scarce_situation(rng, n_firms=n_firms)
+        game = build_game(sit, rule)
+        key = {fs: fs for fs in game.demands}
+        for table in (game.shares, game.values):
+            assert all(fs is key[fs] for fs, _ in table)
+        assert all(fs is key[fs] for fs in (*game.least, *game.largest))
 
 
 def _award_beyond_claim(real):
@@ -318,13 +346,21 @@ def _profit_dip(real):
 # that falls as the share rises; either breaks the monotonicity build_game checks
 CORRUPTIONS = [(bankruptcy, "ration", _award_beyond_claim),
                (partition_games, "coalition_value", _profit_dip)]
+# the refusal each corruption draws on the reference economy under CEA
+REFUSALS = {
+    _award_beyond_claim: "coalition [1]: profit is not increasing in its share "
+                         "up to its demand 20 (shares 21..21)",
+    _profit_dip: "coalition [1]: profit is not increasing in its share "
+                 "up to its demand 20 (shares 50/3..20)",
+}
 
 
 @pytest.mark.parametrize("module, attr, corrupt", CORRUPTIONS)
 def test_a_non_monotone_cell_is_refused(monkeypatch, example3, module, attr, corrupt):
     monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
-    with pytest.raises(RuntimeError, match="not increasing"):
+    with pytest.raises(RuntimeError) as refused:
         build_game(example3, "cea")
+    assert str(refused.value) == REFUSALS[corrupt]
 
 
 @pytest.mark.parametrize("module, attr, corrupt", CORRUPTIONS)
@@ -361,4 +397,4 @@ print("optimize", sys.flags.optimize)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[-1] == "optimize 1"
-    assert len(lines) == 3 and all(line.startswith("raised") for line in lines[:2])
+    assert lines[:-1] == [f"raised {REFUSALS[corrupt]}" for _, _, corrupt in CORRUPTIONS]
