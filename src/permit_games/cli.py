@@ -8,14 +8,18 @@ never a verdict on the input; one ``internal error:`` line on stderr).
 A command that takes ``--partition-limit`` refuses more firms than that limit
 (exit 2) before any analysis runs; the library enumerates any size it is given.
 Output is deterministic for identical input: no timestamps, stable ordering.
-One table, ``SUBCOMMANDS``, drives parsing, help and dispatch; a call that
-names a subcommand builds only that subcommand's parser.
+One table, ``SUBCOMMANDS``, drives parsing, help and dispatch. A call that
+names a subcommand builds one parser, that subcommand's alone; the full parser
+runs only for top-level help, a missing or unknown command, or arguments left
+over, and reports them.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import shutil
 import sys
 from typing import Callable, NamedTuple
 
@@ -48,7 +52,7 @@ CORE_CHOICES = (*CORE_GAMES, "all")
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None).parse_args(argv)
+    args = _parse(argv)
     try:
         return _dispatch(args)
     except INPUT_ERRORS as exc:
@@ -59,20 +63,44 @@ def main(argv=None) -> int:
         return 3
 
 
-def _build_parser(only=None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of ``only`` alone; the usage line
-    lists every subcommand either way, as argparse's own metavar does."""
+def _parse(argv) -> argparse.Namespace:
+    """Parse with the parser of the subcommand that ``argv[0]`` names; the
+    full parser parses anything else, and reports leftover arguments."""
+    formatter = _formatter()
+    if argv and argv[0] in SUBCOMMANDS:
+        parser = argparse.ArgumentParser(
+            prog=f"permit-games {argv[0]}", formatter_class=formatter)
+        _add_options(parser, argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _build_parser(formatter).parse_args(argv)
+
+
+def _formatter():
+    """HelpFormatter at the width it computes itself on every construction
+    (argparse builds one per ``add_argument``), computed once."""
+    return functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+
+def _build_parser(formatter=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, each under ``permit-games <name>``."""
+    formatter = formatter or _formatter()
     parser = argparse.ArgumentParser(
-        prog="permit-games",
+        prog="permit-games", formatter_class=formatter,
         description="Cooperative analysis of capped, taxed emission permit markets.")
-    sub = parser.add_subparsers(dest="command", required=True, metavar=(
-        None if only is None else "{" + ",".join(SUBCOMMANDS) + "}"))
-    for name in SUBCOMMANDS if only is None else (only,):
-        command = SUBCOMMANDS[name]
-        cmd = sub.add_parser(name, help=command.help)
-        for flag, settings in (*command.shared, *command.options):
-            cmd.add_argument(flag, **settings)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in SUBCOMMANDS.items():
+        _add_options(sub.add_parser(name, help=command.help, formatter_class=formatter), name)
     return parser
+
+
+def _add_options(parser, name) -> None:
+    command = SUBCOMMANDS[name]
+    for flag, settings in (*command.shared, *command.options):
+        parser.add_argument(flag, **settings)
 
 
 def _dispatch(args) -> int:

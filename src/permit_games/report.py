@@ -25,7 +25,11 @@ MAX_PRECISION = 1000  # decimal digits a report may ask for
 
 
 def decimal_str(x: Fraction, digits: int) -> str:
-    scaled = round(x * 10 ** digits)  # Fraction rounds half to even
+    """x at ``digits`` decimals, rounded half to even in integers: the
+    comparisons of ``Fraction.__round__`` on one divmod."""
+    scaled, rest = divmod(x.numerator * 10 ** digits, x.denominator)
+    if 2 * rest > x.denominator or (2 * rest == x.denominator and scaled & 1):
+        scaled += 1
     sign = "-" if scaled < 0 else ""
     text = str(abs(scaled)).rjust(digits + 1, "0")
     if digits == 0:
@@ -78,7 +82,7 @@ def _cell(cell: Cell, precision: int) -> tuple[str, str, str]:
     """(text, exact, decimal) of a cell: a number is ("", exact, decimal),
     anything else (text, "", "")."""
     if isinstance(cell, (Fraction, int)):
-        frac = Fraction(cell)
+        frac = cell if isinstance(cell, Fraction) else Fraction(cell)
         return "", str(frac), decimal_str(frac, precision)
     return str(cell), "", ""
 

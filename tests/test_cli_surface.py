@@ -37,6 +37,16 @@ CASES = (
     ("demands", "--rule", "zzz"),
     ("mechanism", "--partition-limit", "3"),
     ("reproduce-paper", "--scenario", "x"),
+    ("game", "--scenario", "x", "extra"),
+    ("demands", "--form", "xml"),
+    ("trade", "--price"),
+    ("cores", "--game=x"),
+    ("pipeline", "--format", "json", "-h"),
+    ("game", "--scen"),
+    ("mechanism", "--grid", "1", "--grid"),
+    ("game", "--", "--scenario"),
+    ("demands", "-x"),
+    ("game", "--rule", "cea", "--rule", "bogus"),
 )
 
 
@@ -73,17 +83,69 @@ def test_module_entry_point_prints_recorded_help():
             "stderr": done.stderr} == recorded
 
 
-def test_one_subcommand_builds_one_subparser(monkeypatch, capsys):
-    add_parser = argparse._SubParsersAction.add_parser
+@pytest.fixture()
+def parsers_built(monkeypatch):
+    """The ``prog`` of every ArgumentParser built, in order."""
+    init = argparse.ArgumentParser.__init__
     built = []
 
-    def counted(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+FULL_PARSER = ["permit-games", *(f"permit-games {name}" for name in SUBCOMMANDS)]
+
+
+def test_one_subcommand_builds_one_subparser(parsers_built, capsys):
     assert cli.main(["game", "--scenario", str(FIXTURE)]) == 0
-    assert built == ["game"]
+    assert parsers_built == ["permit-games game"]
+
+
+def test_leftover_arguments_fall_back_to_the_full_parser(parsers_built, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["game", "--scenario", str(FIXTURE), "extra"])
+    assert exc.value.code == 2
+    assert parsers_built == ["permit-games game", *FULL_PARSER]
+    assert "permit-games: error: unrecognized arguments: extra" in capsys.readouterr().err
+
+
+# flag -> (a value, another value) for every option of every subcommand
+VALUES = {
+    "--scenario": ("a.json", "b.json"), "--rule": ("cea", "prop"),
+    "--precision": ("3", "0"), "--format": ("csv", "json"),
+    "--dump-scenario": ("out.json", "out2.json"), "--partition-limit": ("4", "9"),
+    "--game": ("optimistic", "resource-minus"), "--grid": ("auto", "0,1/2"),
+    "--target": ("1,2,3", "4/3"), "--price": ("1/2", "7"),
+}
+
+
+def _argvs(name):
+    flags = [flag for flag, _ in (*cli.SUBCOMMANDS[name].shared, *cli.SUBCOMMANDS[name].options)]
+    assert set(flags) <= set(VALUES)
+    yield [name]
+    for flag in flags:
+        first, second = VALUES[flag]
+        yield [name, flag, first]
+        yield [name, f"{flag}={first}"]
+        yield [name, flag, first, flag, second]  # the last one wins
+    yield [name, *(arg for flag in flags for arg in (flag, VALUES[flag][0]))]
+    yield [name, *(f"{flag}={VALUES[flag][1]}" for flag in reversed(flags))]
+    if "--scenario" in flags:
+        yield [name, "--scen", "a.json", "--form", "json"]  # unique prefixes
+        yield [name, "--form=csv", "--scen=b.json"]
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_one_parser_parses_as_the_full_parser(parsers_built, name):
+    for argv in _argvs(name):
+        parsers_built.clear()
+        args = vars(cli._parse(argv))
+        assert parsers_built == [f"permit-games {name}"], argv
+        assert args == vars(cli._build_parser().parse_args(argv)), argv
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 from permit_games import bankruptcy, cli, lp, mechanism
 from permit_games.reference import bundled_scenario
-from permit_games.report import decimal_str
+from permit_games.report import MAX_PRECISION, _cell, decimal_str
 from permit_games.scenario import (
     MAX_DIGITS,
     ScenarioError,
@@ -113,6 +114,42 @@ def test_rounding_helpers():
     assert decimal_str(F(7, 2), 0) == "4"
     assert decimal_str(F(-5, 2), 0) == "-2"
     assert decimal_str(F(-1, 3), 0) == "0"
+
+
+def _rounded_by_fraction(x, digits):
+    """The text that ``round(x * 10 ** digits)`` (Fraction's half-even
+    rounding) gives: the oracle of the integer rounding in decimal_str."""
+    scaled = round(x * 10 ** digits)
+    text = str(abs(scaled)).rjust(digits + 1, "0")
+    sign = "-" if scaled < 0 else ""
+    return sign + text if digits == 0 else f"{sign}{text[:-digits]}.{text[-digits:]}"
+
+
+def test_decimal_str_matches_fraction_rounding():
+    rng = random.Random(32)
+    values = [F(0), F(-0)]
+    for _ in range(400):  # seeded values of every size and sign
+        den = rng.choice((1, 2, 3, 7, 8, 1000, 10 ** 12, rng.randrange(1, 10 ** 9)))
+        values.append(F(rng.randrange(-10 ** rng.randrange(1, 25), 10 ** 15), den))
+    for digits in range(13):
+        for k in (0, 1, 2, 7, 12345):  # exact ties, +-(2k+1)/(2*10^d)
+            tie = F(2 * k + 1, 2 * 10 ** digits)
+            values += [tie, -tie]
+        for unit in (F(1, 3 * 10 ** digits), F(1, 10 ** (digits + 5))):  # round to zero
+            values += [unit, -unit]
+    for x in values:
+        for digits in range(13):
+            assert decimal_str(x, digits) == _rounded_by_fraction(x, digits), (x, digits)
+    for x in (F(2, 3), F(-2, 3), F(1, 2 * 10 ** MAX_PRECISION), F(-3, 2 * 10 ** MAX_PRECISION),
+              F(10 ** 40 + 1, 7), F(-1, 10 ** (MAX_PRECISION + 1))):
+        assert decimal_str(x, MAX_PRECISION) == _rounded_by_fraction(x, MAX_PRECISION), x
+
+
+def test_report_cells_of_each_kind():
+    assert _cell(3, 2) == ("", "3", "3.00")
+    assert _cell(F(-7, 8), 2) == ("", "-7/8", "-0.88")
+    assert _cell(F(5, 2), 0) == ("", "5/2", "2")
+    assert _cell("{1,2}", 2) == ("{1,2}", "", "")
 
 
 @pytest.fixture()
