@@ -221,9 +221,9 @@ def _cmd_resource_games(scenario, args, precision):
         sec = report.section(
             f"{title} permit allocation game under {scenario.rule} [{scenario.name}]",
             ["coalition", "permits", "witnessing structure"])
+        permits = resource_game(game, sense).values
         for fs, witness in resource_witnesses(game, sense).items():
-            sec.add_row(coalition_label(fs), game.shares[fs, witness],
-                        partition_label(witness))
+            sec.add_row(coalition_label(fs), permits[fs], partition_label(witness))
     return report, 0
 
 

@@ -56,15 +56,22 @@ _EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\s*\Z")
 def exact(value, where: str) -> Fraction:
     """``value`` as an exact rational whose numerator and denominator have at
     most ``MAX_DIGITS`` digits; a ``ScenarioError`` names ``where``."""
+    try:
+        return _exact(value)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
+def _exact(value) -> Fraction:
+    """``exact`` with a refusal that names no field."""
     x = None
     if not (isinstance(value, str) and _past_bound(value)):
         try:
             x = as_fraction(value)
         except LpStructureError as exc:
-            raise ScenarioError(f"{where}: {exc}") from None
+            raise ScenarioError(str(exc)) from None
     if x is None or max(abs(x.numerator), x.denominator) >= _BOUND:
-        raise ScenarioError(
-            f"{where}: numerator or denominator has more than {MAX_DIGITS} digits")
+        raise ScenarioError(f"numerator or denominator has more than {MAX_DIGITS} digits")
     return x
 
 
@@ -80,9 +87,13 @@ def _past_bound(text: str) -> bool:
 def _matrix(raw, where: str) -> list[list[Fraction]]:
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise ScenarioError(f"{where}: expected a list of rows")
-    return [
-        [exact(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
-        for i, row in enumerate(raw)]
+    try:
+        return [[_exact(v) for v in row] for row in raw]
+    except ScenarioError:  # read again, naming each entry, to name the refused one
+        for i, row in enumerate(raw):
+            for j, v in enumerate(row):
+                exact(v, f"{where}[{i}][{j}]")
+        raise
 
 
 def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:

@@ -146,7 +146,7 @@ def test_criterion_06_grand_coalition_dominates_every_structure():
         for rule in RULES:
             game = build_game(sit, rule)
             for partition in game.partitions:
-                total = sum(game.value(block, partition) for block in partition)
+                total = sum(game.values[frozenset(block), partition] for block in partition)
                 if game.grand_value < total:
                     violations += 1
     report(6, f"grand profit dominates every structure total on "

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +25,8 @@ from permit_games.partition_games import (
 )
 from permit_games.partitions import enumerate_partitions
 from permit_games.production import Situation, coalition_value, optimal_demand
+from permit_games.scenario import Scenario, ScenarioOptions, dump_scenario
+from permit_games.stability import core_nonempty, stable_pipeline
 
 import support
 
@@ -72,7 +75,7 @@ def test_cea_values(cea_game):
 
 
 def test_externalities_present(cea_game):
-    assert cea_game.value({1}, P1) != cea_game.value({1}, P4)
+    assert cea_game.values[frozenset({1}), P1] != cea_game.values[frozenset({1}), P4]
 
 
 def test_cea_bound_games(cea_game):
@@ -110,13 +113,13 @@ def test_prop_exact_shares(prop_game):
 
 
 def test_prop_exact_values(prop_game):
-    assert prop_game.value({1}, P1) == F(8400, 13)
-    assert prop_game.value({2}, P1) == F(9200, 13)
-    assert prop_game.value({3}, P1) == F(11500, 13)
-    assert prop_game.value({1, 2}, P2) == F(18400, 13)
-    assert prop_game.value({1, 3}, P3) == F(52900, 33)
-    assert prop_game.value({2}, P3) == F(23000, 33)
-    assert prop_game.value({2, 3}, P4) == F(20700, 13)
+    assert prop_game.values[frozenset({1}), P1] == F(8400, 13)
+    assert prop_game.values[frozenset({2}), P1] == F(9200, 13)
+    assert prop_game.values[frozenset({3}), P1] == F(11500, 13)
+    assert prop_game.values[frozenset({1, 2}), P2] == F(18400, 13)
+    assert prop_game.values[frozenset({1, 3}), P3] == F(52900, 33)
+    assert prop_game.values[frozenset({2}), P3] == F(23000, 33)
+    assert prop_game.values[frozenset({2, 3}), P4] == F(20700, 13)
     assert prop_game.grand_value == 2300
 
 
@@ -149,7 +152,7 @@ def test_abundant_cap_kills_externalities(example3):
     for fs, demand in game.demands.items():
         for partition in _containing(game, fs):
             assert game.share(fs, partition) == demand
-            assert game.value(fs, partition) == coalition_value(roomy, fs, demand)
+            assert game.values[fs, partition] == coalition_value(roomy, fs, demand)
 
 
 def test_permit_conservation(cea_game, prop_game):
@@ -171,7 +174,7 @@ def test_grand_coalition_dominates_every_structure(rule):
         done += 1
         game = build_game(sit, rule)
         for partition in game.partitions:
-            structure_total = sum(game.value(block, partition) for block in partition)
+            structure_total = sum(game.values[frozenset(block), partition] for block in partition)
             assert game.grand_value >= structure_total
 
 
@@ -209,7 +212,7 @@ def test_full_award_means_structure_independent_value():
             minus = resource_game(game, MINUS)
             for fs in minus.coalitions():
                 if minus.values[fs] == game.demands[fs]:
-                    values = {game.value(fs, p) for p in _containing(game, fs)}
+                    values = {game.values[fs, p] for p in _containing(game, fs)}
                     assert len(values) == 1
 
 
@@ -301,9 +304,17 @@ def test_build_game_matches_the_per_structure_oracle(rule):
         game = build_game(sit, rule)
         demands, shares, values, least, largest = _allocate_per_structure(sit, rule)
         assert game.demands == demands
-        assert game.shares == shares and game.values == values
         assert game.least == least and game.largest == largest
         assert list(game.least) == list(game.largest) == list(demands)
+        # the derived games first, so that the tables are first read after them
+        for cells, witnesses in ((game.least_cell, least), (game.largest_cell, largest)):
+            assert cells == {fs: (shares[fs, p], values[fs, p]) for fs, p in witnesses.items()}
+        for derive, witnesses, table in (
+                (pessimistic_game, least, values), (optimistic_game, largest, values),
+                (lambda g: resource_game(g, MINUS), least, shares),
+                (lambda g: resource_game(g, PLUS), largest, shares)):
+            assert derive(game).values == {fs: table[fs, p] for fs, p in witnesses.items()}
+        assert game.shares == shares and game.values == values
         assert list(game.shares) == list(shares) and list(game.values) == list(values)
         if sit is identical:  # the ties the first-structure rule must break
             single = [p for p in game.partitions if (1,) in p]
@@ -322,6 +333,83 @@ def test_every_cell_of_a_coalition_is_keyed_by_its_demands_key(rule):
         for table in (game.shares, game.values):
             assert all(fs is key[fs] for fs, _ in table)
         assert all(fs is key[fs] for fs in (*game.least, *game.largest))
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_build_game_values_two_awards_per_coalition(monkeypatch, rule):
+    valued = []
+    real = partition_games.coalition_value
+
+    def counting(sit, members, permits):
+        valued.append((frozenset(members), permits))
+        return real(sit, members, permits)
+
+    monkeypatch.setattr(partition_games, "coalition_value", counting)
+    rng = random.Random(RULES.index(rule) + 120)
+    situations = [_identical_firms(5)]
+    for n_firms in range(1, 7):
+        sit = None
+        while sit is None:
+            sit = support.scarce_situation(rng, n_firms=n_firms)
+        situations.append(sit)
+    for sit in situations:
+        valued.clear()
+        game = build_game(sit, rule)
+        extremes = {(fs, cell[0]) for fs in game.demands
+                    for cell in (game.least_cell[fs], game.largest_cell[fs])}
+        assert Counter(valued) == Counter(extremes)
+        assert max(Counter(fs for fs, _ in valued).values()) <= 2
+        valued.clear()
+        cells = {(fs, share) for (fs, _), share in game.shares.items()}
+        # the table pass values each other distinct award of a coalition once
+        assert Counter(valued) == Counter(cells - extremes)
+
+
+def _seeded_economies(seed):
+    """One seeded scarce economy of each size from 3 to 7 firms."""
+    rng = random.Random(seed)
+    situations = []
+    for n_firms in range(3, 8):
+        sit = None
+        while sit is None:
+            sit = support.scarce_situation(rng, n_firms=n_firms)
+        situations.append(sit)
+    return situations
+
+
+def _no_tables(game):
+    raise AssertionError("the per-cell tables were built")
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_derived_games_cores_and_pipeline_never_build_the_tables(
+        monkeypatch, capsys, tmp_path, rule):
+    monkeypatch.setattr(partition_games, "_cell_tables", _no_tables)
+    for sit in _seeded_economies(RULES.index(rule) + 140):
+        game = build_game(sit, rule)
+        derived = [optimistic_game(game), pessimistic_game(game),
+                   resource_game(game, PLUS), resource_game(game, MINUS)]
+        assert game.grand_value == derived[0].grand_value
+        for cg in derived:
+            core_nonempty(cg)
+        for sense in (PLUS, MINUS):
+            resource_witnesses(game, sense)
+        stable_pipeline(sit, rule)
+        path = tmp_path / f"firms{sit.n_firms}.json"
+        dump_scenario(Scenario(path.stem, sit, rule, ScenarioOptions()), path)
+        for command in ("cores", "resource-games"):
+            assert cli.main([command, "--scenario", str(path)]) in (0, 1)
+        assert capsys.readouterr().err == ""
+    with pytest.raises(AssertionError, match="tables were built"):
+        game.values
+
+
+def test_share_rations_one_structure_as_the_tables_do(seeded_games):
+    for game in seeded_games:
+        for partition in game.partitions:
+            for block in partition:
+                fs = frozenset(block)
+                assert game.share(fs, partition) == game.shares[fs, partition]
 
 
 def _award_beyond_claim(real):

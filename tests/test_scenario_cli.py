@@ -21,6 +21,7 @@ from permit_games.scenario import (
     dump_scenario,
     load_scenario,
     loads_scenario,
+    scenario_from_dict,
     scenario_to_dict,
 )
 
@@ -434,6 +435,21 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, change, field):
     code, out, err = run_cli(capsys, "pipeline", "--scenario", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, matrix, message", [
+    ("production", [[2, 3], [3, "x"], [1, 1]], "production[1][1]: not an exact number: 'x'"),
+    ("production", [["1/0", 3], [3, "x"], [1, 1]], "production[0][0]: not an exact number: '1/0'"),
+    ("production", [[2, 3], [3, 2], [1, 2.5]],
+     "production[2][1]: refusing inexact or unknown numeric type float: 2.5"),
+    ("endowments", [[40, 60, 80], [60, "1e5000", "y"]], f"endowments[1][1]: {TOO_LONG}"),
+    ("endowments", [[40, 60, None], [60, 40, 50]],
+     "endowments[0][2]: refusing inexact or unknown numeric type NoneType: None"),
+])
+def test_a_bad_matrix_entry_is_named_by_its_row_and_column(field, matrix, message):
+    with pytest.raises(ScenarioError) as refused:
+        scenario_from_dict({**MINIMAL, field: matrix})
+    assert str(refused.value) == message
 
 
 def test_dump_scenario_to_an_unwritable_path_exits_two(scenario_path, tmp_path, capsys):
